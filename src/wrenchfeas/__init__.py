@@ -28,7 +28,7 @@ from .feasibility import (
     classify,
     dual_intersection_lp,
 )
-from .hull import Facet, HullResult, affine_dimension, convex_hull
+from .hull import HullResult, convex_hull
 from .oracle import (
     AgreementReport,
     MembershipVerdict,
@@ -58,7 +58,6 @@ __all__ = [
     "Contact",
     "ContactConfiguration",
     "DualIntersectionResult",
-    "Facet",
     "FrictionCone",
     "GeneratingMatrices",
     "HullResult",
@@ -74,7 +73,6 @@ __all__ = [
     "Wrench",
     "WrenchConstraintMatrix",
     "acceleration_feasible",
-    "affine_dimension",
     "build_generating_matrices",
     "build_wcm",
     "bundled_path",

@@ -23,7 +23,6 @@ from .errors import LpFailure
 from .simplex import LinearProgram, LpStatus, solve
 
 CLASSIFICATION_EPS = 1e-8
-PARALLEL_NORMAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,22 +66,9 @@ def dual_intersection_lp(gen: GeneratingMatrices) -> DualIntersectionResult:
     return DualIntersectionResult(s_star, sol.x[:3], s_star < -CLASSIFICATION_EPS)
 
 
-def classify(
-    config: ContactConfiguration, com, parallel_shortcut: bool = False
-) -> Classification:
-    """Build the generating matrices at ``com`` and classify the configuration.
-
-    With ``parallel_shortcut`` enabled, a configuration whose contact normals
-    all coincide skips the LP: the shared normal itself lies in every dual
-    cone (each generator has unit component along its own normal), so the
-    verdict is constrained with that witness.
-    """
+def classify(config: ContactConfiguration, com) -> Classification:
+    """Build the generating matrices at ``com`` and classify the configuration."""
     gen = build_generating_matrices(config, com)
-    if parallel_shortcut:
-        normals = np.array([c.normal for c in config.contacts])
-        if np.max(np.abs(normals - normals[0])) <= PARALLEL_NORMAL_TOL:
-            witness = normals[0] / np.max(np.abs(normals[0]))
-            return Classification(True, witness, gen, -1.0)
     result = dual_intersection_lp(gen)
     if not result.constrained:
         return Classification(False, None, gen, result.s_star)

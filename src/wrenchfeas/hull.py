@@ -21,74 +21,48 @@ MERGE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class Facet:
-    """Oriented hyperplane ``normal . p >= offset`` with a unit normal.
-    Also used for equalities, where ``normal . p == offset`` on the hull."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        normal = np.asarray(self.normal, dtype=float)
-        normal.flags.writeable = False
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", float(self.offset))
-
-
-@dataclass(frozen=True)
 class HullResult:
-    """Inequality/equality description of a convex hull.
+    """Inequality/equality description of a convex hull in ``dim`` dimensions.
 
-    ``affine_dim + len(equalities) == dim`` always holds; every input point
-    satisfies every facet and equality to tolerance.
+    ``facets`` is a read-only k x (dim + 1) array whose rows
+    ``[normal | offset]`` (unit normal) mean ``normal . p >= offset``.
+    ``equalities`` is a read-only m x (dim + 1) array of the same layout
+    whose rows mean ``normal . p == offset``; each normal's first
+    non-negligible component is positive.  ``affine_dim + m == dim`` always
+    holds, and every input point satisfies every row to tolerance.
     """
 
-    facets: tuple
-    equalities: tuple
+    facets: np.ndarray
+    equalities: np.ndarray
     affine_dim: int
     dim: int
 
-    def contains(self, point, tol: float = 1e-9) -> bool:
-        p = np.asarray(point, dtype=float)
-        for eq in self.equalities:
-            if abs(eq.normal @ p - eq.offset) > tol:
-                return False
-        for facet in self.facets:
-            if facet.normal @ p - facet.offset < -tol:
-                return False
-        return True
+    def __post_init__(self):
+        self.facets.flags.writeable = False
+        self.equalities.flags.writeable = False
 
 
-def affine_dimension(points, tol: float = RANK_TOL):
-    """Dimension, orthonormal basis (rows), and centroid of the affine hull.
-
-    Singular values below ``tol`` times the largest are treated as zero.
-    """
-    rank, basis, _, centroid = _affine_split(np.asarray(points, dtype=float), tol)
-    return rank, basis, centroid
-
-
-def _affine_split(pts: np.ndarray, tol: float):
+def _affine_split(pts: np.ndarray):
+    # Singular values below RANK_TOL times the largest are treated as zero.
     centroid = pts.mean(axis=0)
     centered = pts - centroid
     _, sv, vt = np.linalg.svd(centered, full_matrices=True)
     if sv.size == 0 or sv[0] <= np.finfo(float).tiny:
         rank = 0
     else:
-        rank = int(np.sum(sv > tol * sv[0]))
+        rank = int(np.sum(sv > RANK_TOL * sv[0]))
     return rank, vt[:rank], vt[rank:], centroid
 
 
-def convex_hull(
-    points, rank_tol: float = RANK_TOL, merge_tol: float = MERGE_TOL
-) -> HullResult:
+def convex_hull(points) -> HullResult:
     """Facets and equalities of the convex hull of a point cloud.
 
     Rank-deficient clouds are projected onto their affine hull, hulled there,
     and lifted back; the orthogonal directions become equalities.  A cloud of
     coincident points is a valid dimension-zero hull, not an error.  Nearly
-    identical facets are merged (``merge_tol`` is relative to the cloud
-    diameter) so numerical duplicates do not inflate the description.
+    identical facets are merged (``MERGE_TOL``, with the offset tolerance
+    relative to the cloud diameter) so numerical duplicates do not inflate
+    the description.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
@@ -99,62 +73,47 @@ def convex_hull(
         raise ValueError("points must be finite")
     dim = pts.shape[1]
 
-    rank, basis, complement, centroid = _affine_split(pts, rank_tol)
-    equalities = tuple(
-        _canonical_equality(q, float(q @ centroid)) for q in complement
-    )
+    rank, basis, complement, centroid = _affine_split(pts)
+    # Equalities hold with either orientation; fix the sign so the first
+    # non-negligible component is positive.
+    first = np.argmax(np.abs(complement) > 1e-12, axis=1)
+    signs = np.sign(complement[np.arange(len(complement)), first])[:, None]
+    equalities = signs * np.column_stack([complement, complement @ centroid])
     if rank == 0:
-        return HullResult((), equalities, 0, dim)
+        return HullResult(np.empty((0, dim + 1)), equalities, 0, dim)
 
     projected = (pts - centroid) @ basis.T
-    diameter = float(np.linalg.norm(projected.max(axis=0) - projected.min(axis=0)))
     if rank == 1:
         y = projected[:, 0]
-        sub = [
-            (np.array([1.0]), float(y.min())),
-            (np.array([-1.0]), float(-y.max())),
-        ]
+        sub = np.array([[1.0, y.min()], [-1.0, -y.max()]])
     else:
         try:
             hull = ConvexHull(projected)
         except QhullError as exc:
             raise HullFailure(f"qhull failed on projected cloud: {exc}") from exc
         # qhull rows satisfy normal . y + off <= 0 inside; flip to >= sense.
-        sub = [(-row[:-1], float(row[-1])) for row in hull.equations]
-        sub = _merge_duplicates(sub, merge_tol, diameter)
+        sub = hull.equations * np.append(-np.ones(rank), 1.0)
+        diameter = float(np.linalg.norm(projected.max(axis=0) - projected.min(axis=0)))
+        sub = _merge_duplicates(sub, diameter)
 
-    facets = []
-    for g, w_sub in sub:
-        normal = g @ basis
-        norm = np.linalg.norm(normal)
-        facets.append(Facet(normal / norm, w_sub / norm + (normal / norm) @ centroid))
-    facets.sort(key=lambda f: (tuple(np.round(f.normal, 12)), round(f.offset, 12)))
-    return HullResult(tuple(facets), equalities, rank, dim)
-
-
-def _canonical_equality(normal: np.ndarray, offset: float) -> Facet:
-    # Equalities hold with either orientation; fix the sign so the first
-    # non-negligible component is positive.
-    for component in normal:
-        if abs(component) > 1e-12:
-            if component < 0.0:
-                return Facet(-normal, -offset)
-            break
-    return Facet(normal, offset)
+    normals = sub[:, :-1] @ basis
+    norms = np.linalg.norm(normals, axis=1)
+    normals /= norms[:, None]
+    facets = np.column_stack([normals, sub[:, -1] / norms + normals @ centroid])
+    facets = facets[np.lexsort(np.round(facets, 12).T[::-1])]
+    return HullResult(facets, equalities, rank, dim)
 
 
-def _merge_duplicates(rows, merge_tol: float, diameter: float):
-    # Greedy clustering, one vectorized sweep per surviving hyperplane.
-    offset_tol = merge_tol * (1.0 + diameter)
-    normals = np.array([g for g, _ in rows])
-    offsets = np.array([w for _, w in rows])
+def _merge_duplicates(rows: np.ndarray, diameter: float) -> np.ndarray:
+    # Greedy clustering over [normal | offset] rows, one vectorized sweep
+    # per surviving hyperplane.
+    offset_tol = MERGE_TOL * (1.0 + diameter)
     removed = np.zeros(len(rows), dtype=bool)
     kept = []
     for i in range(len(rows)):
         if removed[i]:
             continue
         kept.append(i)
-        removed |= (np.abs(normals - normals[i]).max(axis=1) <= merge_tol) & (
-            np.abs(offsets - offsets[i]) <= offset_tol
-        )
-    return [(normals[i], offsets[i]) for i in kept]
+        gap = np.abs(rows - rows[i])
+        removed |= (gap[:, :-1].max(axis=1) <= MERGE_TOL) & (gap[:, -1] <= offset_tol)
+    return rows[kept]

@@ -105,24 +105,17 @@ def compare_wcm_oracle(
     wcm,
     n_samples: int,
     rng_seed: int,
-    infeasible_mode: str = "straddle",
     band: float = 1e-7,
 ) -> AgreementReport:
     """Compare constraint-matrix verdicts against LP ground truth.
 
     Half the samples are constructively feasible (nonnegative generator
     combinations, so their feasibility certificate is the combination itself).
-    The other half depends on ``infeasible_mode``:
-
-    * ``"straddle"``: pairs bracketing the feasibility boundary, found by
-      walking a ray from a feasible wrench and bisecting with the membership
-      LP.  Every emitted verdict was established by an actual LP solve.
-    * ``"random"``: unstructured 6-vectors at comparable magnitude, each
-      given its own membership solve.
+    The other half are pairs bracketing the feasibility boundary, found by
+    walking a ray from a feasible wrench and bisecting with the membership
+    LP.  Every emitted verdict was established by an actual LP solve.
     """
     _check_anchor(gen.anchor, wcm.anchor)
-    if infeasible_mode not in ("straddle", "random"):
-        raise ValueError(f"unknown infeasible_mode {infeasible_mode!r}")
     rng = np.random.default_rng(rng_seed)
     stacked = gen.stacked()
 
@@ -132,20 +125,11 @@ def compare_wcm_oracle(
         coeffs = rng.exponential(size=(gen.n_columns, n_feasible))
         for w6 in (stacked @ coeffs).T:
             samples.append((w6, True))
-    n_rest = n_samples - n_feasible
-    if infeasible_mode == "straddle":
-        while len(samples) < n_samples:
-            lo_pair, hi_pair = _straddle_pair(stacked, rng)
-            samples.append(lo_pair)
-            if len(samples) < n_samples:
-                samples.append(hi_pair)
-    else:
-        typical = 1.0 + float(
-            np.median([np.linalg.norm(w6) for w6, _ in samples]) if samples else 1.0
-        )
-        for _ in range(n_rest):
-            w6 = rng.normal(size=6) * typical / np.sqrt(6.0)
-            samples.append((w6, _membership(stacked, w6).feasible))
+    while len(samples) < n_samples:
+        lo_pair, hi_pair = _straddle_pair(stacked, rng)
+        samples.append(lo_pair)
+        if len(samples) < n_samples:
+            samples.append(hi_pair)
 
     agree_feasible = agree_infeasible = disagree = excluded = 0
     examples = []

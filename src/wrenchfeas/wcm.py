@@ -69,8 +69,6 @@ class WrenchConstraintMatrix:
     rows: np.ndarray
     anchor: np.ndarray
     witness: np.ndarray
-    source: str = "computed"
-    shift_delta: np.ndarray | None = None
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
@@ -118,25 +116,21 @@ def build_wcm(config: ContactConfiguration, com, v) -> WrenchConstraintMatrix:
     points = np.vstack([mod.force_generators[:2], mod.moment_generators]).T
     hull = convex_hull(points)
 
-    rows = [_hyperplane_row(f.normal, f.offset) for f in hull.facets]
-    for eq in hull.equalities:
-        row = _hyperplane_row(eq.normal, eq.offset)
-        rows.append(row)
-        rows.append(-row)
-    rows.append(np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]))  # normal force >= 0
+    # A bound a . p >= w on the normalized 5-D point (fx, fy, mx, my, mz)/fz
+    # multiplies through by fz > 0 into one homogeneous row on the wrench:
+    # (a0, a1, -w, a2, a3, a4).  Equalities contribute a +/- row pair, and a
+    # last row asserts nonnegative normal force.
+    planes = np.vstack([hull.facets, hull.equalities, -hull.equalities])
+    rows = np.vstack(
+        [np.insert(planes[:, :-1], 2, -planes[:, -1], axis=1), [0, 0, 1, 0, 0, 0]]
+    )
 
     frame = np.zeros((6, 6))
     frame[:3, :3] = mod.rotation
     frame[3:, 3:] = mod.rotation
-    world_rows = np.asarray(rows) @ frame
+    world_rows = rows @ frame
     world_rows /= np.linalg.norm(world_rows, axis=1, keepdims=True)
-    return WrenchConstraintMatrix(world_rows, gen.anchor, mod.witness, "computed")
-
-
-def _hyperplane_row(normal: np.ndarray, offset: float) -> np.ndarray:
-    # A bound a . p >= w on the normalized 5-D point (fx, fy, mx, my, mz)/fz
-    # multiplies through by fz > 0 into one homogeneous row on the wrench.
-    return np.array([normal[0], normal[1], -offset, normal[2], normal[3], normal[4]])
+    return WrenchConstraintMatrix(world_rows, gen.anchor, mod.witness)
 
 
 def shift_wcm(wcm: WrenchConstraintMatrix, delta) -> WrenchConstraintMatrix:
@@ -151,9 +145,7 @@ def shift_wcm(wcm: WrenchConstraintMatrix, delta) -> WrenchConstraintMatrix:
     transfer[3:, :3] = skew(delta)
     rows = wcm.rows @ transfer
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    return WrenchConstraintMatrix(
-        rows, wcm.anchor + delta, wcm.witness, "shifted", delta
-    )
+    return WrenchConstraintMatrix(rows, wcm.anchor + delta, wcm.witness)
 
 
 def wrench_margin(wcm: WrenchConstraintMatrix, wrench: Wrench) -> float:

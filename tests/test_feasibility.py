@@ -79,8 +79,7 @@ class TestClassify:
 
     def test_frictionless_contact(self):
         # The frictionless dual is the half-space containing the normal, so
-        # any witness must have positive projection on the normal; the
-        # parallel-planes fast path returns the normal itself.
+        # any witness must have positive projection on the normal.
         config = single_contact_config(normal=(0.2, -0.1, 1.0))
         frictionless = ContactConfiguration(
             tuple(
@@ -92,9 +91,6 @@ class TestClassify:
         cls = classify(frictionless, [0, 0, 0.5])
         assert cls.constrained
         assert cls.witness @ normal > 0.0
-        shortcut = classify(frictionless, [0, 0, 0.5], parallel_shortcut=True)
-        assert shortcut.constrained
-        assert angular_distance(shortcut.witness, normal) <= 1e-8
 
     def test_two_walls_unconstrained(self, two_walls_scene):
         cls = classify(two_walls_scene.config, two_walls_scene.com)
@@ -111,22 +107,6 @@ class TestClassify:
     def test_constrained_rejects_force_opposing_witness(self):
         cls = classify(flat_foot_config(), [0.0, 0.0, 0.8])
         assert not force_membership_lp(cls.generating, -cls.witness).feasible
-
-    def test_parallel_shortcut_agrees_with_lp(self):
-        config = flat_foot_config()
-        com = np.array([0.0, 0.0, 0.8])
-        via_lp = classify(config, com)
-        via_shortcut = classify(config, com, parallel_shortcut=True)
-        assert via_shortcut.constrained == via_lp.constrained
-        # both witnesses must be strictly inside every dual cone
-        for cls in (via_lp, via_shortcut):
-            assert np.min(cls.witness @ cls.generating.force_generators) > 0
-
-    def test_parallel_shortcut_ignored_for_mixed_normals(self, two_walls_scene):
-        cls = classify(
-            two_walls_scene.config, two_walls_scene.com, parallel_shortcut=True
-        )
-        assert not cls.constrained
 
 
 class TestNearTangentDuals:

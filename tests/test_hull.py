@@ -2,17 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial import ConvexHull
 
 from wrenchfeas import (
     FrictionCone,
     LinearProgram,
     LpStatus,
-    affine_dimension,
+    bundled_path,
+    classify,
     cone_generators,
     convex_hull,
+    load_scene,
+    modified_generators,
     solve,
 )
 from wrenchfeas.errors import DegenerateInput
+from wrenchfeas.hull import MERGE_TOL
 
 from conftest import random_config
 from wrenchfeas import build_generating_matrices
@@ -33,41 +41,65 @@ def lp_inside(points, query, tol=1e-9):
     return sol.status is LpStatus.OPTIMAL
 
 
+def hull_margin(result, query):
+    """Smallest facet slack and negated equality residual at ``query``:
+    nonnegative (to tolerance) exactly when the hull contains it."""
+    q = np.asarray(query, float)
+    slack = result.facets[:, :-1] @ q - result.facets[:, -1]
+    residual = np.abs(result.equalities[:, :-1] @ q - result.equalities[:, -1])
+    return float(np.min(np.concatenate([slack, -residual, [np.inf]])))
+
+
 def hull_inside(result, query, tol=1e-9):
-    return result.contains(query, tol)
+    return hull_margin(result, query) >= -tol
 
 
 def assert_description_valid(points, result, tol=1e-9):
     pts = np.asarray(points, float)
+    assert result.facets.shape[1] == result.equalities.shape[1] == result.dim + 1
     assert result.affine_dim + len(result.equalities) == result.dim
-    for facet in result.facets:
-        assert np.linalg.norm(facet.normal) == pytest.approx(1.0, abs=1e-12)
-        assert np.min(pts @ facet.normal - facet.offset) >= -tol
-    for eq in result.equalities:
-        assert np.max(np.abs(pts @ eq.normal - eq.offset)) <= tol
+    assert np.allclose(np.linalg.norm(result.facets[:, :-1], axis=1), 1.0, atol=1e-12)
+    assert np.all(pts @ result.facets[:, :-1].T - result.facets[:, -1] >= -tol)
+    assert np.all(
+        np.abs(pts @ result.equalities[:, :-1].T - result.equalities[:, -1]) <= tol
+    )
+
+
+def same_rows(a, b, tol):
+    """Equal row sets: same count, and each row within ``tol`` of a row of
+    the other."""
+    if a.shape != b.shape:
+        return False
+    if len(a) == 0:
+        return True
+    gap = np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
+    return bool(np.all(gap.min(axis=1) <= tol) and np.all(gap.min(axis=0) <= tol))
 
 
 class TestAffineDimension:
     def test_single_point(self):
-        dim, basis, centroid = affine_dimension(np.array([[1.0, 2.0, 3.0]]))
-        assert dim == 0
-        assert basis.shape == (0, 3)
-        assert np.allclose(centroid, [1, 2, 3])
+        result = convex_hull(np.array([[1.0, 2.0, 3.0]]))
+        assert result.affine_dim == 0
+        assert len(result.equalities) == 3
+        assert hull_inside(result, [1, 2, 3])
 
     def test_collinear_points_in_5d(self):
         direction = np.array([1.0, -1.0, 0.5, 2.0, 0.0])
         pts = np.outer([0.0, 1.0, 2.0], direction)
-        dim, basis, _ = affine_dimension(pts)
-        assert dim == 1
-        assert abs(abs(basis[0] @ direction / np.linalg.norm(direction)) - 1) < 1e-12
+        result = convex_hull(pts)
+        assert result.affine_dim == 1
+        assert len(result.equalities) == 4
+        unit = direction / np.linalg.norm(direction)
+        assert np.allclose(np.abs(result.facets[:, :-1] @ unit), 1.0, atol=1e-12)
 
     def test_generic_four_contact_cloud_is_full_dimensional(self):
         rng = np.random.default_rng(4)
         config = random_config(rng, n_contacts=4)
         gen = build_generating_matrices(config, [0.0, 0.1, 0.4])
         pts = gen.stacked()[[0, 1, 3, 4, 5], :].T  # drop one force row: 16 x 5
-        dim, _, _ = affine_dimension(pts)
-        assert dim == 5
+        result = convex_hull(pts)
+        assert result.affine_dim == 5
+        assert len(result.equalities) == 0
 
 
 class TestConvexHull:
@@ -76,12 +108,11 @@ class TestConvexHull:
         result = convex_hull(pts)
         assert result.affine_dim == 2
         assert len(result.facets) == 4
-        assert not result.equalities
+        assert len(result.equalities) == 0
         expected = {(-1, 0), (1, 0), (0, -1), (0, 1)}
-        got = {tuple(np.round(f.normal, 9)) for f in result.facets}
+        got = {tuple(n) for n in np.round(result.facets[:, :-1], 9)}
         assert got == expected
-        for facet in result.facets:
-            assert facet.offset == pytest.approx(-1.0, abs=1e-12)
+        assert np.allclose(result.facets[:, -1], -1.0, atol=1e-12)
         assert_description_valid(pts, result)
 
     def test_single_contact_tangential_square(self):
@@ -92,8 +123,7 @@ class TestConvexHull:
         result = convex_hull(pts)
         half = 0.8 * np.sqrt(2.0) / 2.0
         assert len(result.facets) == 4
-        for facet in result.facets:
-            assert facet.offset == pytest.approx(-half, abs=1e-12)
+        assert np.allclose(result.facets[:, -1], -half, atol=1e-12)
         assert_description_valid(pts, result)
 
     def test_5d_simplex_has_six_facets(self):
@@ -107,11 +137,11 @@ class TestConvexHull:
         pts = np.tile([0.5, -1.0, 2.0, 0.0, 1.0], (4, 1))
         result = convex_hull(pts)
         assert result.affine_dim == 0
-        assert not result.facets
+        assert len(result.facets) == 0
         assert len(result.equalities) == 5
         assert_description_valid(pts, result)
-        assert result.contains(pts[0])
-        assert not result.contains(pts[0] + 1e-3)
+        assert hull_inside(result, pts[0])
+        assert not hull_inside(result, pts[0] + 1e-3)
 
     def test_collinear_cloud_in_5d(self):
         direction = np.array([1.0, -1.0, 0.5, 2.0, 0.0])
@@ -121,8 +151,20 @@ class TestConvexHull:
         assert len(result.facets) == 2
         assert len(result.equalities) == 4
         assert_description_valid(pts, result)
-        assert result.contains(0.5 * direction + 0.25)
-        assert not result.contains(1.5 * direction + 0.25)
+        assert hull_inside(result, 0.5 * direction + 0.25)
+        assert not hull_inside(result, 1.5 * direction + 0.25)
+
+    def test_equalities_have_positive_leading_component(self):
+        pts = np.outer([0.0, 1.0], [0.0, -1.0, 2.0]) + np.array([1.0, 2.0, -3.0])
+        result = convex_hull(pts)
+        assert len(result.equalities) == 2
+        for row in result.equalities:
+            assert row[np.argmax(np.abs(row[:-1]) > 1e-12)] > 0.0
+
+    def test_result_is_read_only(self):
+        result = convex_hull(np.vstack([np.zeros(3), np.eye(3)]))
+        with pytest.raises(ValueError):
+            result.facets[0, 0] = 0.0
 
     def test_empty_input_raises(self):
         with pytest.raises(DegenerateInput):
@@ -131,6 +173,18 @@ class TestConvexHull:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             convex_hull(np.array([[0.0, np.inf]]))
+
+    def test_traverse_phase2_cloud_merges_triangulated_facets(self):
+        # qhull triangulates, so each of the hull's 120 hyperplanes arrives
+        # as several raw facets; convex_hull keeps one row per hyperplane.
+        scene = load_scene(bundled_path("traverse_phase2"))
+        cls = classify(scene.config, scene.com)
+        mod = modified_generators(cls.generating, cls.witness)
+        pts = np.vstack([mod.force_generators[:2], mod.moment_generators]).T
+        result = convex_hull(pts)
+        assert len(ConvexHull(pts).equations) > 250
+        assert len(result.facets) == 120
+        assert_description_valid(pts, result)
 
 
 class TestMembershipEquivalence:
@@ -151,11 +205,7 @@ class TestMembershipEquivalence:
             else:
                 base = pts[rng.integers(n_points)]
                 query = base + rng.normal(size=dim) * 0.3
-            margins = [f.normal @ query - f.offset for f in result.facets]
-            margins += [
-                -abs(eq.normal @ query - eq.offset) for eq in result.equalities
-            ]
-            if abs(min(margins)) <= band:
+            if abs(hull_margin(result, query)) <= band:
                 continue  # too close to the boundary to compare tolerances
             checked += 1
             assert hull_inside(result, query) == lp_inside(pts, query)
@@ -175,12 +225,9 @@ class TestMembershipEquivalence:
             assert hull_inside(result, inside)
             assert lp_inside(pts, inside)
             outside = inside + rng.normal(size=5) * 0.05
-            assert hull_inside(result, outside, tol=1e-9) == lp_inside(
-                pts, outside
-            ) or min(
-                abs(np.min([f.normal @ outside - f.offset for f in result.facets])),
-                min(abs(eq.normal @ outside - eq.offset) for eq in result.equalities),
-            ) <= 1e-7
+            assert hull_inside(result, outside) == lp_inside(pts, outside) or (
+                abs(hull_margin(result, outside)) <= 1e-7
+            )
 
 
 class TestDeterminismAndReproducibility:
@@ -189,31 +236,47 @@ class TestDeterminismAndReproducibility:
         pts = rng.normal(size=(20, 3))
         result = convex_hull(pts)
         permuted = convex_hull(pts[rng.permutation(20)])
-        a = {
-            (tuple(np.round(f.normal, 8)), round(f.offset, 8))
-            for f in result.facets
-        }
-        b = {
-            (tuple(np.round(f.normal, 8)), round(f.offset, 8))
-            for f in permuted.facets
-        }
-        assert a == b
+        assert same_rows(result.facets, permuted.facets, 1e-8)
 
     def test_facet_reproducible_from_incident_points(self):
         rng = np.random.default_rng(22)
         pts = rng.normal(size=(14, 3))
         result = convex_hull(pts)
         facet = result.facets[0]
-        incident = pts[np.abs(pts @ facet.normal - facet.offset) <= 1e-9]
+        incident = pts[np.abs(pts @ facet[:-1] - facet[-1]) <= 1e-9]
         assert incident.shape[0] >= result.affine_dim
         sub = convex_hull(incident)
-        hyperplanes = [(f.normal, f.offset) for f in sub.facets]
-        hyperplanes += [(e.normal, e.offset) for e in sub.equalities]
-        found = any(
-            np.allclose(n, facet.normal, atol=1e-8)
-            and abs(w - facet.offset) <= 1e-8
-            or np.allclose(n, -facet.normal, atol=1e-8)
-            and abs(w + facet.offset) <= 1e-8
-            for n, w in hyperplanes
+        hyperplanes = np.vstack([sub.facets, sub.equalities])
+        gap = np.minimum(
+            np.abs(hyperplanes - facet).max(axis=1),
+            np.abs(hyperplanes + facet).max(axis=1),
         )
-        assert found
+        assert np.min(gap) <= 1e-8
+
+
+@st.composite
+def clouds(draw):
+    """Small-integer point clouds in 2-5 D spanning an affine subspace of
+    any dimension (coincident, collinear, flat or full), with repeats."""
+    dim = draw(st.integers(2, 5))
+    rank = draw(st.integers(0, dim))
+    n = draw(st.integers(1, 12))
+    ints = lambda *shape: draw(arrays(np.int64, shape, elements=st.integers(-2, 2)))
+    pts = (ints(n, rank) @ ints(rank, dim) + ints(1, dim)).astype(float)
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    return np.vstack([pts, pts[repeats]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(clouds(), st.data())
+def test_hull_properties(pts, data):
+    result = convex_hull(pts)
+    assert_description_valid(pts, result)
+
+    order = data.draw(st.permutations(range(len(pts))))
+    assert same_rows(convex_hull(pts[order]).facets, result.facets, 1e-8)
+    assert same_rows(convex_hull(np.vstack([pts, pts])).facets, result.facets, 1e-8)
+
+    gap = np.abs(result.facets[:, None, :] - result.facets[None, :, :]).max(axis=2)
+    np.fill_diagonal(gap, np.inf)
+    assert np.all(gap > MERGE_TOL)

@@ -136,13 +136,6 @@ class TestCompareWcmOracle:
         assert report.agree_feasible > 0
         assert report.agree_infeasible > 0
 
-    def test_random_mode(self, flat_wcm):
-        gen, wcm = flat_wcm
-        report = compare_wcm_oracle(
-            gen, wcm, 200, rng_seed=9, infeasible_mode="random"
-        )
-        assert report.disagree == 0
-
     def test_corrupted_matrix_is_caught(self, flat_wcm):
         # Sanity of the harness: breaking one row must produce disagreements.
         gen, wcm = flat_wcm
@@ -159,8 +152,3 @@ class TestCompareWcmOracle:
         )
         with pytest.raises(AnchorMismatch):
             compare_wcm_oracle(gen, moved, 10, rng_seed=0)
-
-    def test_unknown_mode_rejected(self, flat_wcm):
-        gen, wcm = flat_wcm
-        with pytest.raises(ValueError):
-            compare_wcm_oracle(gen, wcm, 10, rng_seed=0, infeasible_mode="x")

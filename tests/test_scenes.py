@@ -230,7 +230,7 @@ class TestBundledData:
         scene = load_scene(bundled_path("traverse_phase6"))
         normals = np.array([c.normal for c in scene.config.contacts])
         assert np.max(np.abs(normals - normals[0])) <= 1e-12
-        cls = classify(scene.config, scene.com, parallel_shortcut=True)
+        cls = classify(scene.config, scene.com)
         assert cls.constrained
 
     def test_contact_counts(self):
