@@ -26,7 +26,7 @@ print("  ...")
 
 cls = classify(scene.config, scene.com)
 print(f"\nclassification: {'constrained' if cls.constrained else 'unconstrained'}")
-print(f"optimal slack of the dual-intersection program: {cls.s_star:.2e}")
+print(f"s* (minus the witness margin, 0 without a strict witness): {cls.s_star:.2e}")
 
 # Unconstrained means every total force is achievable.  Spot-check a few
 # arbitrary targets against the membership oracle, including straight down

@@ -3,7 +3,7 @@
 A flat rectangular foot on horizontal ground is the textbook balance case: a
 purely vertical load is supportable exactly when its pressure point lies
 inside the foot rectangle.  Here the same answer falls out of the wrench
-constraint matrix, with the LP oracle double-checking every grid point.
+constraint matrix, with the membership oracle double-checking every grid point.
 """
 
 import numpy as np

@@ -4,8 +4,8 @@ Given a set of unilateral point contacts with friction, this package decides
 whether the contacts can realize arbitrary center-of-mass acceleration and,
 when they cannot, computes the linear constraint matrix bounding all
 achievable gravito-inertial wrenches, re-anchors it cheaply as the reference
-point moves, and answers feasibility queries.  An independent LP oracle
-validates every verdict.
+point moves, and answers feasibility queries.  An independent membership
+oracle validates every verdict.
 """
 
 from .contacts import (
@@ -22,12 +22,7 @@ from .contacts import (
     rotation_aligning_z,
     skew,
 )
-from .feasibility import (
-    Classification,
-    DualIntersectionResult,
-    classify,
-    dual_intersection_lp,
-)
+from .feasibility import Classification, classify
 from .hull import HullResult, convex_hull
 from .oracle import (
     AgreementReport,
@@ -38,7 +33,7 @@ from .oracle import (
     wrench_membership_lp,
 )
 from .scenes import Scene, Scenario, bundled_path, load_scenario, load_scene
-from .simplex import LinearProgram, LpSolution, LpStatus, solve
+from .simplex import solve
 from .wcm import (
     ModifiedGenerators,
     WrenchConstraintMatrix,
@@ -57,13 +52,9 @@ __all__ = [
     "Classification",
     "Contact",
     "ContactConfiguration",
-    "DualIntersectionResult",
     "FrictionCone",
     "GeneratingMatrices",
     "HullResult",
-    "LinearProgram",
-    "LpSolution",
-    "LpStatus",
     "MembershipVerdict",
     "ModifiedGenerators",
     "MotionQuery",
@@ -80,7 +71,6 @@ __all__ = [
     "compare_wcm_oracle",
     "cone_generators",
     "convex_hull",
-    "dual_intersection_lp",
     "force_membership_lp",
     "load_scenario",
     "load_scene",

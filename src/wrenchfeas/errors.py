@@ -5,16 +5,8 @@ class ZeroVector(ValueError):
     """A direction vector with (near-)zero norm was given where one is required."""
 
 
-class MalformedProgram(ValueError):
-    """Linear program data has inconsistent dimensions or non-finite entries."""
-
-
-class NumericalFailure(RuntimeError):
-    """The solver ran out of numerically safe pivots; the result would be unreliable."""
-
-
 class LpFailure(RuntimeError):
-    """An internal linear program returned a status the caller cannot use."""
+    """The oracle could not build a sample it needs from membership solves."""
 
 
 class WitnessOnBoundary(RuntimeError):

@@ -2,16 +2,19 @@
 
 A direction ``v`` lies in the dual of a contact's friction cone exactly when
 it has nonnegative dot product with all of that contact's generators.  When
-the duals of all contacts intersect only at the origin, every total force is
-achievable and the center of mass can be accelerated arbitrarily; otherwise
-any nonzero direction in the intersection witnesses a linear constraint on
-achievable wrenches.  The split is decided by one small LP:
+the duals of all contacts share a strict direction (positive dot with every
+generator), that direction witnesses a linear constraint on achievable
+wrenches and the constraint matrix exists; otherwise the configuration is
+classified unconstrained.
 
-    minimize s   subject to   generators^T v + s >= 0,  s >= -1
-
-with the variables of ``v`` boxed to [-1, 1] so the optimum stays bounded and
-the witness comes out well scaled.  An optimum of zero means only the trivial
-direction fits; a negative optimum produces a strictly interior witness.
+The search for a strict direction is a least-distance program: the
+minimum-norm ``x`` with ``u_i . x >= 1`` for every unit force generator
+``u_i``, which is the 2-norm max-margin direction.  It is solved through
+nonnegative least squares (Lawson & Hanson, 1974, ch. 23): with
+``E = [U; 1^T]`` and ``f = e_4``, take the NNLS solution ``a`` of
+``E a ~ f`` and its residual ``r = E a - f``.  A zero residual means no such
+``x`` exists; otherwise ``x = -r[:3] / r[3]``.  The verdict is then certified
+by plain dot products with the generators, not by the solver.
 """
 
 from dataclasses import dataclass
@@ -19,25 +22,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contacts import ContactConfiguration, GeneratingMatrices, build_generating_matrices
-from .errors import LpFailure
-from .simplex import LinearProgram, LpStatus, solve
+from .simplex import solve
 
 CLASSIFICATION_EPS = 1e-8
-
-
-@dataclass(frozen=True)
-class DualIntersectionResult:
-    """Raw LP outcome: optimal slack, optimizing direction, and the verdict."""
-
-    s_star: float
-    v: np.ndarray
-    constrained: bool
+_E4 = np.array([0.0, 0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
 class Classification:
     """Configuration verdict.  ``witness`` is None when unconstrained and an
-    inf-norm-normalized direction inside every dual cone otherwise."""
+    inf-norm-normalized direction inside every dual cone otherwise.
+
+    ``s_star`` is minus the smallest dot product of the witness with a force
+    generator (each generator has unit normal component), capped above at 0:
+    exactly -1 for a single contact, 0 when no strict witness exists, and the
+    configuration is constrained iff ``s_star < -CLASSIFICATION_EPS``.
+    """
 
     constrained: bool
     witness: np.ndarray | None
@@ -45,32 +45,20 @@ class Classification:
     s_star: float
 
 
-def dual_intersection_lp(gen: GeneratingMatrices) -> DualIntersectionResult:
-    """Decide whether the contact dual cones share a nonzero direction."""
-    u = gen.force_generators
-    n_cols = u.shape[1]
-    rows = np.hstack([u.T, np.ones((n_cols, 1))])
-    sol = solve(
-        LinearProgram(
-            objective=np.array([0.0, 0.0, 0.0, 1.0]),
-            a_ineq=rows,
-            b_ineq=np.zeros(n_cols),
-            lower=np.array([-1.0, -1.0, -1.0, -1.0]),
-            upper=np.array([1.0, 1.0, 1.0, np.inf]),
-        )
-    )
-    if sol.status is not LpStatus.OPTIMAL:
-        # v = 0, s = 0 is always feasible and s is bounded below by -1.
-        raise LpFailure(f"dual intersection LP returned {sol.status}")
-    s_star = float(sol.x[3])
-    return DualIntersectionResult(s_star, sol.x[:3], s_star < -CLASSIFICATION_EPS)
-
-
 def classify(config: ContactConfiguration, com) -> Classification:
     """Build the generating matrices at ``com`` and classify the configuration."""
     gen = build_generating_matrices(config, com)
-    result = dual_intersection_lp(gen)
-    if not result.constrained:
-        return Classification(False, None, gen, result.s_star)
-    witness = result.v / np.max(np.abs(result.v))
-    return Classification(True, witness, gen, result.s_star)
+    u = gen.force_generators
+    unit = u / np.linalg.norm(u, axis=0)
+    a, _ = solve(np.vstack([unit, np.ones(u.shape[1])]), _E4)
+    # The residual r = E a - e_4 has r[:3] = unit @ a and, at the optimum,
+    # r[3] = -|r|^2, so x = -r[:3] / r[3] points along unit @ a.
+    x = unit @ a
+    size = np.max(np.abs(x))
+    witness, s_star = None, 0.0
+    if size > 0.0:
+        witness = x / size
+        s_star = min(0.0, -float(np.min(witness @ u)))
+    if s_star < -CLASSIFICATION_EPS:
+        return Classification(True, witness, gen, s_star)
+    return Classification(False, None, gen, s_star)

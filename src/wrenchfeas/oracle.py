@@ -1,11 +1,13 @@
-"""LP-backed ground truth for wrench feasibility.
+"""Solver-backed ground truth for wrench feasibility.
 
-Everything in this module goes straight from the span-form generators to a
-small feasibility program: a wrench is achievable exactly when it is a
-nonnegative combination of the stacked generator columns.  No convex hull and
-no constraint matrix is consulted anywhere here, which keeps the module an
-independent check on the polyhedral pipeline built on top of it (it imports
-only the contact model and the LP solver).
+Everything in this module goes straight from the span-form generators to one
+nonnegative least-squares solve: a wrench is achievable exactly when it is a
+nonnegative combination of the stacked generator columns, i.e. when the NNLS
+residual of ``generators @ a = wrench``, ``a >= 0``, vanishes (relative
+residual at most ``MEMBERSHIP_TOL``).  No convex hull and no constraint
+matrix is consulted anywhere here, which keeps the module an independent
+check on the polyhedral pipeline built on top of it (it imports only the
+contact model and the solver).
 """
 
 from dataclasses import dataclass
@@ -14,9 +16,10 @@ import numpy as np
 
 from .contacts import GeneratingMatrices, Wrench
 from .errors import AnchorMismatch, LpFailure
-from .simplex import LinearProgram, LpStatus, solve
+from .simplex import solve
 
 ANCHOR_TOL = 1e-12
+MEMBERSHIP_TOL = 1e-9
 
 
 def _check_anchor(anchor: np.ndarray, about: np.ndarray):
@@ -36,20 +39,10 @@ class MembershipVerdict:
 
 
 def _membership(matrix: np.ndarray, target: np.ndarray) -> MembershipVerdict:
-    n = matrix.shape[1]
-    sol = solve(
-        LinearProgram(
-            objective=np.zeros(n),
-            a_eq=matrix,
-            b_eq=target,
-            lower=np.zeros(n),
-        )
-    )
-    if sol.status is LpStatus.OPTIMAL:
-        return MembershipVerdict(True, sol.x)
-    if sol.status is LpStatus.INFEASIBLE:
-        return MembershipVerdict(False)
-    raise LpFailure(f"membership test returned {sol.status}")
+    x, residual = solve(matrix, target)
+    if residual <= MEMBERSHIP_TOL:
+        return MembershipVerdict(True, x)
+    return MembershipVerdict(False)
 
 
 def wrench_membership_lp(gen: GeneratingMatrices, wrench: Wrench) -> MembershipVerdict:
@@ -107,13 +100,13 @@ def compare_wcm_oracle(
     rng_seed: int,
     band: float = 1e-7,
 ) -> AgreementReport:
-    """Compare constraint-matrix verdicts against LP ground truth.
+    """Compare constraint-matrix verdicts against membership ground truth.
 
     Half the samples are constructively feasible (nonnegative generator
     combinations, so their feasibility certificate is the combination itself).
     The other half are pairs bracketing the feasibility boundary, found by
     walking a ray from a feasible wrench and bisecting with the membership
-    LP.  Every emitted verdict was established by an actual LP solve.
+    test.  Every emitted verdict was established by an actual solve.
     """
     _check_anchor(gen.anchor, wcm.anchor)
     rng = np.random.default_rng(rng_seed)
@@ -155,7 +148,7 @@ def compare_wcm_oracle(
 
 def _straddle_pair(stacked: np.ndarray, rng: np.random.Generator):
     """Two wrenches bracketing the cone boundary along a random ray from a
-    feasible interior sample, with LP-established verdicts."""
+    feasible interior sample, with solver-established verdicts."""
     for _ in range(50):
         coeff = rng.exponential(size=stacked.shape[1])
         base = stacked @ coeff

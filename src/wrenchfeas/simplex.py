@@ -1,314 +1,80 @@
-"""Dense two-phase simplex solver for small linear programs.
+"""Nonnegative least squares, the one solver behind classification and
+membership.
 
-Solves
-
-    minimize    c . x
-    subject to  a_ineq @ x >= b_ineq
-                a_eq @ x == b_eq
-                lower <= x <= upper   (entries may be -inf / +inf)
-
-The problems this package produces are tiny (tens of rows and columns) and
-dense, so a plain tableau implementation is the right tool: no sparsity, no
-factorization, no warm starts.  Bounded variables are shifted to zero lower
-bounds, upper bounds become explicit rows, and fully free variables are split
-into nonnegative pairs.  Artificial variables are added only to rows that
-cannot start from a surplus or slack basis, so purely homogeneous problems
-skip phase 1 entirely.
-
-Pivot selection uses Dantzig's rule and switches to Bland's rule after a run
-of degenerate pivots, which keeps iteration counts low while retaining the
-anti-cycling guarantee.  Leaving-row ties always break toward the smallest
-basis label.  Everything is double precision and deterministic: the same
-input produces bit-identical output on a given platform.
+``solve(matrix, target)`` minimizes ``|matrix @ x - target|`` over ``x >= 0``
+by the active-set method of Lawson & Hanson (*Solving Least Squares Problems*,
+1974, ch. 23).  Columns and target are scaled to unit largest entry (2-norms
+underflow below about 1e-154) and ``A^T A``, ``A^T b`` are formed once (Bro &
+De Jong, J. Chemometrics 1997), so each passive-set step is a small Cholesky
+solve (LAPACK ``dposv``), or QR when that block is ill-conditioned.  The output
+is deterministic.  The module keeps its historical name because the benchmark
+tracer wraps ``simplex.solve``.
 """
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
+from scipy.linalg.lapack import dposv
 
-from .errors import MalformedProgram, NumericalFailure
-
-FEASIBILITY_TOL = 1e-9
-PIVOT_TOL = 1e-10
-_COST_TOL = 1e-9
-_DEGENERATE_STREAK_LIMIT = 12
+_EPS = np.finfo(float).eps
 
 
-class LpStatus(Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
-
-
-def _finite(arr: np.ndarray) -> bool:
-    if arr.size == 0:
-        return True
-    return bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
-
-
-def _check_rows(a, b, n, name):
-    if a is None and b is None:
-        return np.zeros((0, n)), np.zeros(0)
-    if a is None or b is None:
-        raise MalformedProgram(f"{name} and its right-hand side must be given together")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    if b.ndim == 0:
-        b = b.reshape(1)
-    if a.ndim != 2 or b.ndim != 1 or a.shape != (b.size, n):
-        raise MalformedProgram(f"{name} has shape {a.shape}, expected ({b.size}, {n})")
-    if not (_finite(a) and _finite(b)):
-        raise MalformedProgram(f"{name} rows must be finite")
-    return a, b
-
-
-def _check_bound(bound, n, default, name):
-    if bound is None:
-        return np.full(n, default)
-    v = np.atleast_1d(np.asarray(bound, dtype=float))
-    if v.shape != (n,):
-        raise MalformedProgram(f"{name} bound has shape {v.shape}, expected ({n},)")
-    if np.any(np.isnan(v)):
-        raise MalformedProgram(f"{name} bound must not contain NaN")
-    return v
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """Minimize ``objective . x`` subject to rows ``a_ineq @ x >= b_ineq``,
-    optional equalities ``a_eq @ x == b_eq`` and optional per-variable bounds.
-    Bounds default to free variables."""
-
-    objective: np.ndarray
-    a_ineq: np.ndarray | None = None
-    b_ineq: np.ndarray | None = None
-    a_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.objective, dtype=float))
-        if c.ndim != 1 or c.size == 0:
-            raise MalformedProgram("objective must be a nonempty vector")
-        if not _finite(c):
-            raise MalformedProgram("objective must be finite")
-        n = c.size
-        a, b = _check_rows(self.a_ineq, self.b_ineq, n, "a_ineq")
-        ae, be = _check_rows(self.a_eq, self.b_eq, n, "a_eq")
-        lo = _check_bound(self.lower, n, -np.inf, "lower")
-        hi = _check_bound(self.upper, n, np.inf, "upper")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "a_ineq", a)
-        object.__setattr__(self, "b_ineq", b)
-        object.__setattr__(self, "a_eq", ae)
-        object.__setattr__(self, "b_eq", be)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    @property
-    def n_vars(self) -> int:
-        return self.objective.size
-
-
-@dataclass(frozen=True)
-class LpSolution:
-    status: LpStatus
-    x: np.ndarray | None = None
-    objective_value: float | None = None
-
-
-def solve(lp: LinearProgram) -> LpSolution:
-    """Solve a small dense LP; see the module docstring for the method."""
-    n = lp.n_vars
-    lower, upper = lp.lower, lp.upper
-    if np.any(lower > upper):
-        return LpSolution(LpStatus.INFEASIBLE)
-
-    mi = lp.b_ineq.size
-    me = lp.b_eq.size
-
-    # Shift bounded variables to zero lower bounds; split free ones.
-    fin_lo = np.isfinite(lower)
-    fin_hi = np.isfinite(upper)
-    shift = np.zeros(n)
-    shift[fin_lo] = lower[fin_lo]
-    only_hi = ~fin_lo & fin_hi
-    shift[only_hi] = upper[only_hi]
-    base_sign = np.where(fin_lo | ~fin_hi, 1.0, -1.0)
-    free_idx = np.flatnonzero(~fin_lo & ~fin_hi)
-    n_free = free_idx.size
-    n_struct = n + n_free
-    boxed = np.flatnonzero(fin_lo & fin_hi)
-    n_box = boxed.size
-
-    if mi + me:
-        if me == 0:
-            g = lp.a_ineq
-            rhs_rows = lp.b_ineq
-        elif mi == 0:
-            g = lp.a_eq
-            rhs_rows = lp.b_eq
-        else:
-            g = np.vstack([lp.a_ineq, lp.a_eq])
-            rhs_rows = np.concatenate([lp.b_ineq, lp.b_eq])
-        adj = rhs_rows - g @ shift if shift.any() else rhs_rows.copy()
-    else:
-        g = np.zeros((0, n))
-        adj = np.zeros(0)
-
-    # Negate rows so surplus columns can start basic wherever possible:
-    # inequality rows with nonpositive rhs, equality rows with negative rhs.
-    neg = np.zeros(mi + me, dtype=bool)
-    neg[:mi] = adj[:mi] <= 0.0
-    neg[mi:] = adj[mi:] < 0.0
-    art_rows = np.concatenate(
-        [np.flatnonzero(~neg[:mi]), np.arange(mi, mi + me)]
-    ).astype(int)
-    n_art = art_rows.size
-
-    m = mi + me + n_box
-    art_col0 = n_struct + mi + n_box
-    total = art_col0 + n_art
-    work = np.zeros((m + 1, total + 1))
-    if mi + me:
-        work[: mi + me, :n] = g * base_sign
-        if n_free:
-            work[: mi + me, n:n_struct] = -g[:, free_idx]
-        work[: mi + me, -1] = adj
-        if mi:
-            work[np.arange(mi), n_struct + np.arange(mi)] = -1.0
-        work[: mi + me][neg] *= -1.0
-    if n_box:
-        box_r = mi + me + np.arange(n_box)
-        work[box_r, boxed] = 1.0  # boxed vars live in the first structural block
-        work[box_r, n_struct + mi + np.arange(n_box)] = 1.0
-        work[box_r, -1] = upper[boxed] - lower[boxed]
-
-    basis = np.empty(m, dtype=int)
-    if mi:
-        basis[:mi] = n_struct + np.arange(mi)
-    if me:
-        basis[mi : mi + me] = -1
-    if n_box:
-        basis[mi + me :] = n_struct + mi + np.arange(n_box)
-    if n_art:
-        work[art_rows, art_col0 + np.arange(n_art)] = 1.0
-        basis[art_rows] = art_col0 + np.arange(n_art)
-
-    rhs_scale = 1.0 + (np.max(np.abs(rhs_rows)) if mi + me else 0.0)
-    max_iter = 100 * (m + total) + 1000
-
-    if n_art:
-        work[m, art_col0:total] = 1.0
-        work[m] -= work[art_rows].sum(axis=0)
-        status = _iterate(work, basis, m, max_iter)
-        if status is not LpStatus.OPTIMAL:
-            raise NumericalFailure("phase-1 simplex did not terminate at an optimum")
-        if -work[m, -1] > FEASIBILITY_TOL * rhs_scale:
-            return LpSolution(LpStatus.INFEASIBLE)
-        work, basis, m = _drop_artificials(work, basis, m, art_col0)
-
-    # Phase 2 over the original objective (structural columns carry the
-    # shifted/split signs; surplus and slack columns cost nothing).
-    cost_struct = lp.objective * base_sign
-    if cost_struct.any() or (n_free and lp.objective[free_idx].any()):
-        work[-1] = 0.0
-        work[-1, :n] = cost_struct
-        if n_free:
-            work[-1, n:n_struct] = -lp.objective[free_idx]
-        for r in range(m):
-            cj = work[-1, basis[r]]
-            if cj != 0.0:
-                work[-1] -= cj * work[r]
-        status = _iterate(work, basis, m, max_iter)
-        if status is LpStatus.UNBOUNDED:
-            return LpSolution(LpStatus.UNBOUNDED)
-        if status is not LpStatus.OPTIMAL:
-            raise NumericalFailure("phase-2 simplex did not terminate at an optimum")
-
-    y = np.zeros(work.shape[1] - 1)
-    y[basis[:m]] = work[:m, -1]
-    x = shift + base_sign * y[:n]
-    if n_free:
-        np.subtract.at(x, free_idx, y[n:n_struct])
-    _verify_solution(lp, x, rhs_scale)
-    return LpSolution(LpStatus.OPTIMAL, x, float(lp.objective @ x))
-
-
-def _iterate(work, basis, m, max_iter) -> LpStatus:
-    """Run simplex pivots on ``work`` (cost row last) until optimal/unbounded."""
-    bland = False
-    streak = 0
-    for _ in range(max_iter):
-        reduced = work[-1, :-1]
-        if bland:
-            negative = np.flatnonzero(reduced < -_COST_TOL)
-            if negative.size == 0:
-                return LpStatus.OPTIMAL
-            j = int(negative[0])
-        else:
-            j = int(np.argmin(reduced))
-            if reduced[j] >= -_COST_TOL:
-                return LpStatus.OPTIMAL
-        col = work[:m, j]
-        positive = np.flatnonzero(col > PIVOT_TOL)
-        if positive.size == 0:
-            return LpStatus.UNBOUNDED
-        ratios = work[positive, -1] / col[positive]
-        best = ratios.min()
-        tied = positive[ratios <= best * (1.0 + 1e-12) + 1e-15]
-        i = int(tied[np.argmin(basis[tied])]) if tied.size > 1 else int(tied[0])
-        streak = streak + 1 if best <= 1e-12 else 0
-        if streak > _DEGENERATE_STREAK_LIMIT:
-            bland = True
-        _pivot(work, i, j)
-        basis[i] = j
-    raise NumericalFailure("simplex iteration limit exceeded")
-
-
-def _pivot(work, i, j):
-    work[i] = work[i] / work[i, j]
-    col = work[:, j].copy()
-    col[i] = 0.0
-    work -= np.outer(col, work[i])
-
-
-def _drop_artificials(work, basis, m, width):
-    """Pivot artificial variables out of the basis and delete their columns.
-
-    Rows whose artificial cannot be replaced are redundant and removed.
-    """
-    redundant = []
-    for r in range(m):
-        if basis[r] < width:
+def solve(matrix, target):
+    """Return ``(x, relative_residual)``: ``x >= 0`` minimizes
+    ``|matrix @ x - target|`` and the residual is that minimum divided by
+    ``|target|``.  A zero target gives ``x = 0`` and residual 0."""
+    a = np.asarray(matrix, dtype=float)
+    b = np.asarray(target, dtype=float)
+    if a.ndim != 2 or b.shape != (a.shape[0],):
+        raise ValueError(f"matrix {a.shape} and target {b.shape} do not match")
+    col_max = np.abs(a).max(axis=0, initial=0.0)
+    b_max = np.abs(b).max(initial=0.0)
+    if not (np.isfinite(col_max).all() and np.isfinite(b_max)):
+        raise ValueError("matrix and target must be finite")
+    n = a.shape[1]
+    x = np.zeros(n)
+    if b_max == 0.0:
+        return x, 0.0
+    col_max[col_max == 0.0] = 1.0
+    a = a / col_max
+    b = b / b_max
+    gram = a.T @ a
+    atb = a.T @ b
+    tol = 10.0 * _EPS * n
+    passive = []  # column indices, in order of entry
+    w = atb.copy()
+    for _ in range(3 * n):
+        w[passive] = -np.inf
+        j = int(w.argmax())
+        if w[j] <= tol:
+            break  # Kuhn-Tucker conditions hold
+        idx = np.array(passive + [j])
+        z = _passive_solve(gram, atb, a, b, idx)
+        if z[-1] <= 0.0:
+            # Column j depends numerically on the passive ones: skip it.
+            w[j] = -np.inf
             continue
-        candidates = np.flatnonzero(np.abs(work[r, :width]) > PIVOT_TOL)
-        if candidates.size:
-            _pivot(work, r, int(candidates[0]))
-            basis[r] = int(candidates[0])
-        else:
-            redundant.append(r)
-    if redundant:
-        keep = np.setdiff1d(np.arange(m), redundant)
-        work = np.vstack([work[keep], work[-1:]])
-        basis = basis[keep]
-        m -= len(redundant)
-    work = np.hstack([work[:, :width], work[:, -1:]])
-    return work, basis, m
+        while z.size and z.min() <= 0.0:
+            # Step from x toward z until the first passive entry hits zero.
+            xp = x[idx]
+            neg = z <= 0.0
+            ratios = xp[neg] / (xp[neg] - z[neg])
+            xp += ratios.min() * (z - xp)
+            xp[np.flatnonzero(neg)[ratios.argmin()]] = 0.0
+            x[idx] = xp
+            idx = idx[xp > 0.0]
+            z = _passive_solve(gram, atb, a, b, idx)
+        passive = idx.tolist()
+        x[:] = 0.0
+        x[idx] = z
+        w = a.T @ (b - a @ x)
+    residual = float(np.linalg.norm(a @ x - b) / np.linalg.norm(b))
+    return x / col_max * b_max, residual
 
 
-def _verify_solution(lp: LinearProgram, x: np.ndarray, rhs_scale: float):
-    """Guard against silently wrong output: an optimal claim must satisfy all
-    rows and bounds to within 1e-8 of the problem scale."""
-    tol = 1e-8 * rhs_scale
-    if lp.b_ineq.size and np.min(lp.a_ineq @ x - lp.b_ineq) < -tol:
-        raise NumericalFailure("optimal solution violates an inequality row")
-    if lp.b_eq.size and np.max(np.abs(lp.a_eq @ x - lp.b_eq)) > tol:
-        raise NumericalFailure("optimal solution violates an equality row")
-    bound_tol = 1e-8 * (1.0 + np.max(np.abs(x)))
-    if np.any(x < lp.lower - bound_tol) or np.any(x > lp.upper + bound_tol):
-        raise NumericalFailure("optimal solution violates a variable bound")
+def _passive_solve(gram, atb, a, b, idx):
+    if not idx.size:
+        return np.zeros(0)
+    factor, z, info = dposv(gram.take(idx, 0).take(idx, 1), atb[idx])
+    # Scaled columns have norms of at least 1: a tiny pivot means ill-conditioning.
+    if info != 0 or factor.diagonal().min() < 1e-3:
+        z = np.linalg.lstsq(a[:, idx], b, rcond=None)[0]
+    return z

@@ -1,176 +1,200 @@
-"""Solver checks against hand results and a brute-force vertex enumeration."""
+"""NNLS solver checks against hand results, a brute-force passive-set
+enumeration and scipy's reference implementation."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import nnls
 
-from wrenchfeas.errors import MalformedProgram
-from wrenchfeas.simplex import LinearProgram, LpStatus, solve
+from wrenchfeas import build_generating_matrices, load_scene
+from wrenchfeas.simplex import solve
+
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 
-def enumerate_optimum(c, a, b, lower, upper):
-    """Independent LP oracle for tiny problems: intersect every n-subset of
-    constraint/bound hyperplanes, keep the feasible vertices, take the best.
-
-    Only valid when the feasible set is bounded (callers use full boxes).
-    Returns (best objective, vertex) or None when no feasible vertex exists.
-    """
-    n = c.size
-    planes = [(a[i], b[i]) for i in range(a.shape[0])]
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        planes.append((e.copy(), lower[i]))
-        planes.append((e.copy(), upper[i]))
-    best = None
-    for combo in itertools.combinations(range(len(planes)), n):
-        mat = np.array([planes[k][0] for k in combo])
-        rhs = np.array([planes[k][1] for k in combo])
-        if abs(np.linalg.det(mat)) < 1e-10:
-            continue
-        x = np.linalg.solve(mat, rhs)
-        if np.min(a @ x - b) < -1e-9:
-            continue
-        if np.any(x < lower - 1e-9) or np.any(x > upper + 1e-9):
-            continue
-        val = float(c @ x)
-        if best is None or val < best[0]:
-            best = (val, x)
+def enumerate_optimum(a, b):
+    """Independent NNLS oracle for tiny problems: the optimum is the
+    least-squares fit on some set of linearly independent columns whose
+    coefficients are all nonnegative.  Try every column subset, keep the
+    nonnegative fits, return the smallest residual."""
+    best = np.linalg.norm(b)
+    for k in range(1, min(a.shape) + 1):
+        for cols in itertools.combinations(range(a.shape[1]), k):
+            sub = a[:, cols]
+            if np.linalg.matrix_rank(sub) < k:
+                continue
+            coef = np.linalg.lstsq(sub, b, rcond=None)[0]
+            if coef.min() >= 0.0:
+                best = min(best, np.linalg.norm(sub @ coef - b))
     return best
 
 
+def scaled(a, b, x):
+    """The same problem with every column and the target at unit largest
+    entry.  Positive scaling changes neither the optimal relative residual
+    nor the signs in the optimality conditions, and keeps norms clear of
+    underflow."""
+    col = np.abs(a).max(axis=0)
+    col[col == 0.0] = 1.0
+    top = np.abs(b).max() or 1.0
+    return a / col, b / top, x * col / top
+
+
+def rounding_floor(a, x):
+    """Floating point evaluates b - Ax only to about n eps |A||x|."""
+    return a.shape[1] * np.finfo(float).eps * np.linalg.norm(np.abs(a) @ x)
+
+
+def assert_kkt(a, b, x, tol=1e-9):
+    """Optimality for min |Ax - b|, x >= 0: the gradient A^T(b - Ax) is
+    nonpositive everywhere and zero on the support of x."""
+    a, b, x = scaled(a, b, x)
+    tol += rounding_floor(a, x)
+    grad = a.T @ (b - a @ x)
+    assert x.min() >= 0.0
+    assert grad.max() <= tol
+    assert np.all(np.abs(grad[x > 0.0]) <= tol)
+
+
 def test_single_variable_lower_bound_row():
-    lp = LinearProgram(objective=[1.0], a_ineq=[[1.0]], b_ineq=[3.0])
-    sol = solve(lp)
-    assert sol.status is LpStatus.OPTIMAL
-    assert sol.x[0] == pytest.approx(3.0, abs=1e-9)
-    assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
+    # The row asks for x = 3, which the bound x >= 0 allows.
+    x, residual = solve([[1.0]], [3.0])
+    assert x[0] == pytest.approx(3.0, abs=1e-12)
+    assert residual <= 1e-15
 
 
 def test_crossed_row_and_bound_is_infeasible():
-    lp = LinearProgram(
-        objective=[1.0], a_ineq=[[1.0]], b_ineq=[3.0], upper=[1.0]
-    )
-    assert solve(lp).status is LpStatus.INFEASIBLE
-
-
-def test_unbounded_above():
-    lp = LinearProgram(objective=[-1.0], lower=[0.0])
-    assert solve(lp).status is LpStatus.UNBOUNDED
+    # The row asks for x = -3 and the bound x >= 0 crosses it: the best
+    # nonnegative x is 0 and nothing of the target is reached.
+    x, residual = solve([[1.0]], [-3.0])
+    assert x[0] == 0.0
+    assert residual == pytest.approx(1.0)
 
 
 def test_equality_rows():
-    lp = LinearProgram(
-        objective=[1.0, 0.0],
-        a_eq=[[1.0, 1.0]],
-        b_eq=[1.0],
-        lower=[0.0, 0.0],
-    )
-    sol = solve(lp)
-    assert sol.status is LpStatus.OPTIMAL
-    assert sol.x == pytest.approx([0.0, 1.0], abs=1e-9)
+    # Every x >= 0 on the segment x1 + x2 = 1 is optimal; any one of them
+    # must reproduce the row exactly.
+    x, residual = solve([[1.0, 1.0]], [1.0])
+    assert x.min() >= 0.0
+    assert x.sum() == pytest.approx(1.0, abs=1e-12)
+    assert residual <= 1e-12
 
 
-def test_free_variable():
-    lp = LinearProgram(
-        objective=[1.0, 1.0],
-        a_ineq=[[1.0, 0.0]],
-        b_ineq=[-5.0],
-        lower=[-np.inf, 0.0],
-    )
-    sol = solve(lp)
-    assert sol.status is LpStatus.OPTIMAL
-    assert sol.x[0] == pytest.approx(-5.0, abs=1e-9)
-    assert sol.x[1] == pytest.approx(0.0, abs=1e-9)
+def test_zero_column_is_never_used():
+    a = np.array([[0.0, 1.0], [0.0, 1.0]])
+    x, residual = solve(a, [2.0, 2.0])
+    assert x[0] == 0.0
+    assert x[1] == pytest.approx(2.0)
+    assert residual <= 1e-15
 
 
-def test_beale_cycling_example_terminates():
-    # Classic tableau that cycles under naive most-negative pivoting.
-    lp = LinearProgram(
-        objective=[-0.75, 150.0, -0.02, 6.0],
-        a_ineq=[
-            [-0.25, 60.0, 0.04, -9.0],
-            [-0.5, 90.0, 0.02, -3.0],
-            [0.0, 0.0, -1.0, 0.0],
-        ],
-        b_ineq=[0.0, 0.0, -1.0],
-        lower=[0.0, 0.0, 0.0, 0.0],
-    )
-    sol = solve(lp)
-    assert sol.status is LpStatus.OPTIMAL
-    assert sol.objective_value == pytest.approx(-0.05, abs=1e-9)
+def test_cycling_classification_matrix_terminates():
+    # The classification matrix [U; 1^T] of a 13-contact floor stance on
+    # which a textbook simplex cycled.  NNLS must stop at the optimum.
+    scene = load_scene(FIXTURES / "simplex_cycling.json")
+    u = build_generating_matrices(scene.config, scene.com).force_generators
+    e = np.vstack([u / np.linalg.norm(u, axis=0), np.ones(u.shape[1])])
+    target = np.array([0.0, 0.0, 0.0, 1.0])
+    x, residual = solve(e, target)
+    assert_kkt(e, target, x)
+    assert residual == pytest.approx(nnls(e, target)[1], abs=1e-9)
 
 
 def test_malformed_dimension_mismatch():
-    with pytest.raises(MalformedProgram):
-        LinearProgram(objective=[1.0, 2.0], a_ineq=[[1.0]], b_ineq=[0.0])
+    with pytest.raises(ValueError):
+        solve([[1.0, 2.0]], [0.0, 1.0])
+    with pytest.raises(ValueError):
+        solve([1.0, 2.0], [0.0, 1.0])
 
 
 def test_malformed_nonfinite():
-    with pytest.raises(MalformedProgram):
-        LinearProgram(objective=[np.nan])
-    with pytest.raises(MalformedProgram):
-        LinearProgram(objective=[1.0], a_ineq=[[np.inf]], b_ineq=[0.0])
+    with pytest.raises(ValueError):
+        solve([[np.nan]], [1.0])
+    with pytest.raises(ValueError):
+        solve([[1.0]], [np.inf])
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_matches_vertex_enumeration(seed):
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 4))
     m = int(rng.integers(2, 6))
+    n = int(rng.integers(2, 7))
     a = rng.normal(size=(m, n))
     b = rng.normal(size=m)
-    c = rng.normal(size=n)
-    lower = np.full(n, -10.0)
-    upper = np.full(n, 10.0)
-    expected = enumerate_optimum(c, a, b, lower, upper)
-    sol = solve(
-        LinearProgram(objective=c, a_ineq=a, b_ineq=b, lower=lower, upper=upper)
+    expected = enumerate_optimum(a, b)
+    x, residual = solve(a, b)
+    assert x.min() >= 0.0
+    assert residual * np.linalg.norm(b) == pytest.approx(expected, abs=1e-9)
+    assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) == pytest.approx(
+        residual, abs=1e-12
     )
-    if expected is None:
-        assert sol.status is LpStatus.INFEASIBLE
-    else:
-        assert sol.status is LpStatus.OPTIMAL
-        assert sol.objective_value == pytest.approx(
-            expected[0], abs=1e-8 * (1.0 + abs(expected[0]))
-        )
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_feasible_points_bound_the_optimum(seed):
-    # The reported minimum can never be above the objective at any feasible
-    # point, and the returned point must itself be feasible.
+    # The reported minimum can never be above the residual at any x >= 0,
+    # and a target built from nonnegative coefficients is reached exactly.
     rng = np.random.default_rng(100 + seed)
-    n, m = 4, 6
+    m, n = 6, 24
     a = rng.normal(size=(m, n))
-    x0 = rng.uniform(0.5, 2.0, size=n)
-    b = a @ x0 - rng.uniform(0.1, 1.0, size=m)
-    c = rng.normal(size=n)
-    lp = LinearProgram(
-        objective=c, a_ineq=a, b_ineq=b, lower=np.zeros(n), upper=np.full(n, 5.0)
-    )
-    sol = solve(lp)
-    assert sol.status is LpStatus.OPTIMAL
-    assert sol.objective_value <= c @ x0 + 1e-6
-    assert np.min(a @ sol.x - b) >= -1e-8 * (1.0 + np.max(np.abs(b)))
-    samples = rng.uniform(0.0, 5.0, size=(50, n))
-    feasible = samples[np.min(samples @ a.T - b, axis=1) >= 0.0]
-    if feasible.size:
-        assert sol.objective_value <= np.min(feasible @ c) + 1e-6
+    b = rng.normal(size=m) * 3.0
+    x, residual = solve(a, b)
+    samples = rng.exponential(size=(200, n)) * rng.uniform(0.0, 1.0, size=(200, 1))
+    sampled = np.linalg.norm(samples @ a.T - b, axis=1) / np.linalg.norm(b)
+    assert residual <= sampled.min() + 1e-12
+    reachable = a @ rng.exponential(size=n)
+    x, residual = solve(a, reachable)
+    assert x.min() >= 0.0
+    assert residual <= 1e-9
+    assert np.linalg.norm(a @ x - reachable) <= 1e-9 * np.linalg.norm(reachable)
 
 
 def test_bitwise_determinism():
     rng = np.random.default_rng(7)
-    a = rng.normal(size=(5, 3))
+    a = rng.normal(size=(5, 30))
     b = rng.normal(size=5)
-    c = rng.normal(size=3)
-    lp = LinearProgram(
-        objective=c, a_ineq=a, b_ineq=b, lower=np.full(3, -4.0), upper=np.full(3, 4.0)
+    first = solve(a, b)
+    second = solve(a, b)
+    assert np.array_equal(first[0], second[0])
+    assert first[1] == second[1]
+
+
+@st.composite
+def problems(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 50))
+    # Entries far below 1e-200 could put the exact solution past the
+    # largest double; smaller ones still reach the underflow of 2-norms.
+    elements = st.floats(-10.0, 10.0, allow_nan=False).filter(
+        lambda v: v == 0.0 or abs(v) >= 1e-200
     )
-    first = solve(lp)
-    second = solve(lp)
-    assert first.status is second.status
-    if first.status is LpStatus.OPTIMAL:
-        assert np.array_equal(first.x, second.x)
-        assert first.objective_value == second.objective_value
+    a = draw(arrays(np.float64, (m, n), elements=elements))
+    b = draw(arrays(np.float64, (m,), elements=elements))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(problems())
+def test_properties_match_scipy_nnls(problem):
+    a, b = problem
+    x, residual = solve(a, b)
+    assert_kkt(a, b, x)
+    if not b.any():
+        assert np.array_equal(x, np.zeros(a.shape[1]))
+        assert residual == 0.0
+    else:
+        # Compared on the scaled problem, so that the reference also copes
+        # with badly scaled columns.
+        unit_a, unit_b, unit_x = scaled(a, b, x)
+        expected = nnls(unit_a, unit_b)[1] / np.linalg.norm(unit_b)
+        tol = 1e-9 + rounding_floor(unit_a, unit_x) / np.linalg.norm(unit_b)
+        assert residual == pytest.approx(expected, abs=tol)
+        zero_x, zero_residual = solve(a, np.zeros_like(b))
+        assert np.array_equal(zero_x, np.zeros(a.shape[1])) and zero_residual == 0.0
+    again = solve(a, b)
+    assert np.array_equal(again[0], x) and again[1] == residual
