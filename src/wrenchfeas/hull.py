@@ -60,9 +60,11 @@ def convex_hull(points) -> HullResult:
     Rank-deficient clouds are projected onto their affine hull, hulled there,
     and lifted back; the orthogonal directions become equalities.  A cloud of
     coincident points is a valid dimension-zero hull, not an error.  Nearly
-    identical facets are merged (``MERGE_TOL``, with the offset tolerance
-    relative to the cloud diameter) so numerical duplicates do not inflate
-    the description.
+    identical facets are merged (``MERGE_TOL`` on the normal, with the offset
+    tolerance relative to the cloud diameter) so numerical duplicates do not
+    inflate the description: the rows are sorted by a fixed projection and
+    each is compared only with its neighbours inside the window the
+    tolerance allows, and a row goes when an earlier one matches it.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
@@ -105,15 +107,31 @@ def convex_hull(points) -> HullResult:
 
 
 def _merge_duplicates(rows: np.ndarray, diameter: float) -> np.ndarray:
-    # Greedy clustering over [normal | offset] rows, one vectorized sweep
-    # per surviving hyperplane.
-    offset_tol = MERGE_TOL * (1.0 + diameter)
-    removed = np.zeros(len(rows), dtype=bool)
-    kept = []
-    for i in range(len(rows)):
-        if removed[i]:
-            continue
-        kept.append(i)
-        gap = np.abs(rows - rows[i])
-        removed |= (gap[:, :-1].max(axis=1) <= MERGE_TOL) & (gap[:, -1] <= offset_tol)
-    return rows[kept]
+    # scipy always runs qhull with Qt, so each hyperplane arrives once per
+    # simplex of its triangulated facet.  Two rows within ``tol`` column by
+    # column project onto the nonnegative ``weights`` at most ``weights @ tol``
+    # apart, plus a few ulps of rounding.  So after sorting by that projection
+    # each row is compared only with the later rows inside that window: one
+    # vectorized pass per offset k, ending at the first k with no pair inside
+    # it.  A row goes when an earlier row in sorted order matches it, which
+    # makes the kept set independent of the input order; survivors keep their
+    # input order.  Rows are not rounded to a grid, since rounding splits
+    # near-ties, and unequal weights keep mirrored normals apart.
+    tol = np.full(rows.shape[1], MERGE_TOL)
+    tol[-1] = MERGE_TOL * (1.0 + diameter)
+    weights = np.sqrt(np.arange(2.0, rows.shape[1] + 2.0))
+    projected = rows @ weights
+    order = np.argsort(projected, kind="stable")
+    rows_sorted, projected = rows[order], projected[order]
+    scale = float(np.abs(rows).max()) * weights.sum()
+    window = tol @ weights + 4 * len(weights) * np.finfo(float).eps * scale
+    dropped = np.zeros(len(rows), dtype=bool)
+    for k in range(1, len(rows)):
+        near = np.flatnonzero(projected[k:] - projected[:-k] <= window)
+        if near.size == 0:
+            break
+        same = np.all(np.abs(rows_sorted[near + k] - rows_sorted[near]) <= tol, axis=1)
+        dropped[near[same] + k] = True
+    keep = np.ones(len(rows), dtype=bool)
+    keep[order[dropped]] = False
+    return rows[keep]

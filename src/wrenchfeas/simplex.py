@@ -6,9 +6,9 @@ by the active-set method of Lawson & Hanson (*Solving Least Squares Problems*,
 1974, ch. 23).  Columns and target are scaled to unit largest entry (2-norms
 underflow below about 1e-154) and ``A^T A``, ``A^T b`` are formed once (Bro &
 De Jong, J. Chemometrics 1997), so each passive-set step is a small Cholesky
-solve (LAPACK ``dposv``), or QR when that block is ill-conditioned.  The output
-is deterministic.  The module keeps its historical name because the benchmark
-tracer wraps ``simplex.solve``.
+solve (LAPACK ``dposv``), or a refined least-squares solve when that block is
+ill-conditioned.  The output is deterministic.  The module keeps its
+historical name because the benchmark tracer wraps ``simplex.solve``.
 """
 
 import numpy as np
@@ -76,5 +76,9 @@ def _passive_solve(gram, atb, a, b, idx):
     factor, z, info = dposv(gram.take(idx, 0).take(idx, 1), atb[idx])
     # Scaled columns have norms of at least 1: a tiny pivot means ill-conditioning.
     if info != 0 or factor.diagonal().min() < 1e-3:
-        z = np.linalg.lstsq(a[:, idx], b, rcond=None)[0]
+        cols = a[:, idx]
+        z = np.linalg.lstsq(cols, b, rcond=None)[0]
+        # One step of iterative refinement: on an ill-conditioned block the
+        # first solve can leave a residual well above eps |A||z|.
+        z += np.linalg.lstsq(cols, b - cols @ z, rcond=None)[0]
     return z

@@ -37,7 +37,6 @@ from .contacts import (
     build_generating_matrices,
     required_wrench,
     rotation_aligning_z,
-    skew,
 )
 from .errors import AnchorMismatch, WitnessOnBoundary
 from .feasibility import Classification
@@ -141,10 +140,20 @@ def shift_wcm(wcm: WrenchConstraintMatrix, delta) -> WrenchConstraintMatrix:
     with that map yields the constraints expressed about B.
     """
     delta = np.asarray(delta, dtype=float)
-    transfer = np.eye(6)
-    transfer[3:, :3] = skew(delta)
+    dx, dy, dz = delta.tolist()
+    # The identity with skew(delta) in the lower-left block.
+    transfer = np.array(
+        [
+            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+            [0.0, -dz, dy, 1.0, 0.0, 0.0],
+            [dz, 0.0, -dx, 0.0, 1.0, 0.0],
+            [-dy, dx, 0.0, 0.0, 0.0, 1.0],
+        ]
+    )
     rows = wcm.rows @ transfer
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows /= np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
     return WrenchConstraintMatrix(rows, wcm.anchor + delta, wcm.witness)
 
 

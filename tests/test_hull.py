@@ -9,6 +9,8 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from wrenchfeas import (
+    Contact,
+    ContactConfiguration,
     FrictionCone,
     bundled_path,
     classify,
@@ -17,8 +19,10 @@ from wrenchfeas import (
     load_scene,
     modified_generators,
 )
+from wrenchfeas import hull
 from wrenchfeas.errors import DegenerateInput
 from wrenchfeas.hull import MERGE_TOL
+from wrenchfeas.scenes import rotation_from_normal
 
 from conftest import random_config
 from wrenchfeas import build_generating_matrices
@@ -275,3 +279,128 @@ def test_hull_properties(pts, data):
     gap = np.abs(result.facets[:, None, :] - result.facets[None, :, :]).max(axis=2)
     np.fill_diagonal(gap, np.inf)
     assert np.all(gap > MERGE_TOL)
+
+
+def greedy_merge(rows, diameter):
+    """Brute-force reference for ``hull._merge_duplicates``: keep each row
+    not yet removed, in input order, and remove every row within tolerance
+    of it."""
+    offset_tol = MERGE_TOL * (1.0 + diameter)
+    removed = np.zeros(len(rows), dtype=bool)
+    kept = []
+    for i in range(len(rows)):
+        if removed[i]:
+            continue
+        kept.append(i)
+        gap = np.abs(rows - rows[i])
+        removed |= (gap[:, :-1].max(axis=1) <= MERGE_TOL) & (gap[:, -1] <= offset_tol)
+    return rows[kept]
+
+
+def as_row_set(rows):
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+@st.composite
+def near_tie_clusters(draw):
+    """Rows ``[unit normal | offset]`` in 3-7 columns, 1-4 jittered copies
+    per hyperplane, shuffled.  Some hyperplanes sit on a 1e-6 rounding
+    boundary, some 3 tolerances from the previous one in a single column.
+    Returns the rows, the hyperplane label of each row and the diameter."""
+    ncols = draw(st.integers(3, 7))
+    copies = draw(st.lists(st.integers(1, 4), min_size=1, max_size=12))
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["generic", "boundary", "neighbour"]),
+            min_size=len(copies),
+            max_size=len(copies),
+        )
+    )
+    diameter = draw(st.floats(0.0, 20.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tol = np.full(ncols, MERGE_TOL)
+    tol[-1] = MERGE_TOL * (1.0 + diameter)
+    centers = []
+    for kind in kinds:
+        if kind == "neighbour" and centers:
+            # A distinct hyperplane whose projection can fall inside the
+            # dedup window of the previous one.  Always stepping up keeps a
+            # chain of neighbours apart.
+            center = centers[-1].copy()
+            column = rng.integers(ncols)
+            center[column] += 3.0 * tol[column]
+            centers.append(center)
+            continue
+        while True:
+            normal = rng.normal(size=ncols - 1)
+            offset = rng.uniform(-1, 1) * diameter
+            center = np.append(normal / np.linalg.norm(normal), offset)
+            if kind == "boundary":
+                # Halfway between two multiples of 1e-6: rounding would
+                # split the copies of this hyperplane.
+                center = (np.floor(center * 1e6) + 0.5) / 1e6
+            if all(np.abs(center - c).max() > 1e-6 for c in centers):
+                break
+        centers.append(center)
+    rows = np.vstack(
+        [
+            centers[label] + rng.uniform(-1, 1, size=(count, ncols)) * tol / 3
+            for label, count in enumerate(copies)
+        ]
+    )
+    labels = np.repeat(np.arange(len(copies)), copies)
+    order = draw(st.permutations(range(len(rows))))
+    return rows[order], labels[order], diameter
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_tie_clusters(), st.data())
+def test_merge_keeps_one_row_per_hyperplane(clusters, data):
+    rows, labels, diameter = clusters
+    merged = hull._merge_duplicates(rows, diameter)
+
+    kept = [int(np.flatnonzero((rows == row).all(axis=1))[0]) for row in merged]
+    assert kept == sorted(kept)  # survivors keep their input order
+    assert sorted(labels[kept]) == list(range(labels.max() + 1))
+
+    tol = np.full(rows.shape[1], MERGE_TOL)
+    tol[-1] = MERGE_TOL * (1.0 + diameter)
+    within = (np.abs(merged[:, None, :] - merged[None, :, :]) <= tol).all(axis=2)
+    np.fill_diagonal(within, False)
+    assert not within.any()
+
+    order = np.array(data.draw(st.permutations(range(len(rows)))))
+    permuted = hull._merge_duplicates(rows[order], diameter)
+    assert np.array_equal(as_row_set(permuted), as_row_set(merged))
+
+
+def test_merge_matches_greedy_on_sixteen_contact_stance(monkeypatch):
+    # Sixteen floor contacts with eight-sided pyramids and tilted normals:
+    # the largest stance shape, with over a thousand raw qhull facets.
+    rng = np.random.default_rng(16)
+    contacts = []
+    for _ in range(16):
+        point = [rng.uniform(-0.2, 0.2), rng.uniform(-0.15, 0.15), 0.0]
+        normal = np.array([0.0, 0.0, 1.0]) + rng.normal(size=3) * 0.1
+        cone = FrictionCone(0.5, 8)
+        contacts.append(Contact(point, rotation_from_normal(normal), cone))
+    config = ContactConfiguration(tuple(contacts))
+    com = [0.0, 0.0, 0.8]
+    cls = classify(config, com)
+    assert cls.constrained
+    mod = modified_generators(cls.generating, cls.witness)
+    pts = np.vstack([mod.force_generators[:2], mod.moment_generators]).T
+
+    calls = []
+    merge = hull._merge_duplicates
+
+    def recording_merge(rows, diameter):
+        calls.append((rows, diameter))
+        return merge(rows, diameter)
+
+    monkeypatch.setattr(hull, "_merge_duplicates", recording_merge)
+    convex_hull(pts)
+    (rows, diameter), = calls
+    merged = merge(rows, diameter)
+    assert len(rows) > 1000 and len(merged) < len(rows)
+    assert np.array_equal(merged, greedy_merge(rows, diameter))

@@ -93,6 +93,18 @@ def test_zero_column_is_never_used():
     assert residual <= 1e-15
 
 
+def test_ill_conditioned_block_meets_reachable_target():
+    # The last passive block has condition number about 1e7, so the step
+    # takes the least-squares fallback; unrefined, that left a relative
+    # residual of 6e-8 on a target that x = (1e6, 1, 4e6) meets exactly.
+    a = np.array([[1e-6, -1.0, 0.0], [-4.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    target = np.array([0.0, 0.0, 1.0])
+    x, residual = solve(a, target)
+    assert_kkt(a, target, x)
+    assert residual <= 1e-12
+    assert x == pytest.approx([1e6, 1.0, 4e6], rel=1e-9)
+
+
 def test_cycling_classification_matrix_terminates():
     # The classification matrix [U; 1^T] of a 13-contact floor stance on
     # which a textbook simplex cycled.  NNLS must stop at the optimum.
