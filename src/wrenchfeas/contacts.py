@@ -16,20 +16,28 @@ all operations are pure functions, so concurrent reads are safe.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ZeroVector
 
 ORTHONORMAL_TOL = 1e-10
+_ZERO3 = np.zeros(3)
+_ZERO3.flags.writeable = False
 
 
 def _as_vec3(value, name: str) -> np.ndarray:
     v = np.array(value, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    return _freeze_finite(v, name)
+
+
+def _freeze_finite(v: np.ndarray, name: str) -> np.ndarray:
+    # Scalar checks: a numpy reduction costs several times more on 3 entries.
+    x, y, z = v.tolist()
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError(f"{name} must have finite components")
     v.flags.writeable = False
     return v
@@ -52,6 +60,14 @@ class Wrench:
         object.__setattr__(self, "force", _as_vec3(self.force, "force"))
         object.__setattr__(self, "moment", _as_vec3(self.moment, "moment"))
         object.__setattr__(self, "about", _as_vec3(self.about, "about"))
+
+    @classmethod
+    def _validated(cls, force, moment, about) -> "Wrench":
+        """A wrench from read-only finite 3-vectors the caller has already
+        checked; skips the copies and checks of ``__init__``."""
+        wrench = object.__new__(cls)
+        wrench.__dict__.update(force=force, moment=moment, about=about)
+        return wrench
 
     def as_array(self) -> np.ndarray:
         """Stacked 6-vector [force; moment]."""
@@ -107,32 +123,52 @@ class Contact:
 
 @dataclass(frozen=True)
 class ContactConfiguration:
-    """An ordered set of contacts acting on the same body."""
+    """An ordered set of contacts acting on the same body.
+
+    The anchor-independent geometry is computed once, at construction:
+    ``edges`` (3 x n) stacks every contact's world-frame pyramid edges as
+    columns, contact by contact, and ``column_points`` (3 x n) holds the point
+    of the contact each column belongs to.  Both are read-only and take no
+    part in equality or ``repr``.
+    """
 
     contacts: tuple
+    edges: np.ndarray = field(init=False, repr=False, compare=False)
+    column_points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         contacts = tuple(self.contacts)
         if not contacts:
             raise ValueError("a contact configuration needs at least one contact")
-        for i, a in enumerate(contacts):
-            for b in contacts[:i]:
-                if np.array_equal(a.point, b.point) and np.array_equal(
-                    a.rotation, b.rotation
-                ):
-                    warnings.warn(
-                        f"duplicate contact at index {i}: same point and rotation "
-                        "(redundant, not invalid)",
-                        stacklevel=2,
-                    )
+        points = np.array([c.point for c in contacts])
+        rotations = np.array([c.rotation for c in contacts])
+        keys = np.hstack([points, rotations.reshape(-1, 9)])
+        same = (keys[:, None, :] == keys[None, :, :]).all(axis=2)
+        for i in np.nonzero(np.tril(same, -1))[0]:  # one warning per earlier twin
+            warnings.warn(
+                f"duplicate contact at index {i}: same point and rotation "
+                "(redundant, not invalid)",
+                stacklevel=2,
+            )
         object.__setattr__(self, "contacts", contacts)
+
+        # Column k is edge j[k] (0-based) of contact owner[k], rotated into
+        # the world frame.
+        sides = np.array([c.cone.sides for c in contacts])
+        mu = np.array([c.cone.mu for c in contacts], dtype=float)
+        owner = np.repeat(np.arange(len(contacts)), sides)
+        j = np.arange(owner.size) - (np.cumsum(sides) - sides)[owner]
+        local = _pyramid_edges(mu[owner], sides[owner], j)
+        edges = np.einsum("kij,jk->ik", rotations[owner], local, order="C")
+        object.__setattr__(self, "edges", _freeze(edges))
+        object.__setattr__(self, "column_points", _freeze(points[owner].T.copy()))
 
     def __len__(self) -> int:
         return len(self.contacts)
 
     @property
     def n_generators(self) -> int:
-        return sum(c.cone.sides for c in self.contacts)
+        return self.edges.shape[1]
 
 
 @dataclass(frozen=True)
@@ -142,32 +178,34 @@ class GeneratingMatrices:
     ``force_generators`` stacks the world-frame pyramid edges of every contact
     as columns; ``moment_generators`` holds the corresponding moment arms about
     ``anchor``.  Every transmissible wrench is a nonnegative column combination
-    of the stacked 6-row matrix.  ``column_origin[k]`` gives the
-    (contact index, edge index) pair a column came from.
+    of the stacked 6-row matrix, which is formed once, at construction; both
+    generator fields are read-only views of it.
     """
 
     force_generators: np.ndarray
     moment_generators: np.ndarray
     anchor: np.ndarray
-    column_origin: tuple
+    _stacked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         f = np.asarray(self.force_generators, dtype=float)
         m = np.asarray(self.moment_generators, dtype=float)
         if f.shape != m.shape or f.ndim != 2 or f.shape[0] != 3:
             raise ValueError("generator matrices must both be 3 x n_columns")
-        object.__setattr__(self, "force_generators", _freeze(f))
-        object.__setattr__(self, "moment_generators", _freeze(m))
+        stacked = _freeze(np.vstack([f, m]))
+        object.__setattr__(self, "force_generators", stacked[:3])
+        object.__setattr__(self, "moment_generators", stacked[3:])
         object.__setattr__(self, "anchor", _as_vec3(self.anchor, "anchor"))
-        object.__setattr__(self, "column_origin", tuple(self.column_origin))
+        object.__setattr__(self, "_stacked", stacked)
 
     @property
     def n_columns(self) -> int:
-        return self.force_generators.shape[1]
+        return self._stacked.shape[1]
 
     def stacked(self) -> np.ndarray:
-        """6 x n matrix with force generators over moment generators."""
-        return np.vstack([self.force_generators, self.moment_generators])
+        """6 x n matrix with force generators over moment generators
+        (read-only)."""
+        return self._stacked
 
 
 @dataclass(frozen=True)
@@ -209,11 +247,16 @@ def cone_generators(cone: FrictionCone) -> np.ndarray:
     ``[mu*cos(2*pi*(i - 1/2)/m), mu*sin(2*pi*(i - 1/2)/m), 1]``.  The normal
     component is set to exactly 1.0; later normalization stages rely on that.
     """
-    idx = np.arange(1, cone.sides + 1, dtype=float)
-    ang = 2.0 * np.pi * (idx - 0.5) / cone.sides
-    u = np.empty((3, cone.sides))
-    u[0] = cone.mu * np.cos(ang)
-    u[1] = cone.mu * np.sin(ang)
+    return _pyramid_edges(cone.mu, cone.sides, np.arange(cone.sides))
+
+
+def _pyramid_edges(mu, sides, j) -> np.ndarray:
+    """Contact-frame edges as columns: edge ``j`` (0-based) of a pyramid with
+    friction ``mu`` and ``sides`` sides.  The arguments broadcast."""
+    ang = 2.0 * np.pi * (j + 0.5) / sides
+    u = np.empty((3, ang.size))
+    u[0] = mu * np.cos(ang)
+    u[1] = mu * np.sin(ang)
     u[2] = 1.0
     return u
 
@@ -234,21 +277,17 @@ def build_generating_matrices(
     config: ContactConfiguration, com
 ) -> GeneratingMatrices:
     """Assemble the stacked generator matrices for a configuration, anchored
-    at ``com``: per contact the world-frame pyramid edges and their moment
-    arms (contact point minus anchor) crossed with those edges."""
+    at ``com``: the configuration's world-frame pyramid edges ``e`` and, per
+    column, the moment arm (contact point minus anchor) crossed with its edge,
+    ``(p - com) x e``."""
     com = _as_vec3(com, "com")
-    force_blocks = []
-    moment_blocks = []
-    origin = []
-    for ci, contact in enumerate(config.contacts):
-        edges = contact.rotation @ cone_generators(contact.cone)
-        arm = skew(contact.point - com)
-        force_blocks.append(edges)
-        moment_blocks.append(arm @ edges)
-        origin.extend((ci, j) for j in range(contact.cone.sides))
-    return GeneratingMatrices(
-        np.hstack(force_blocks), np.hstack(moment_blocks), com, tuple(origin)
-    )
+    e = config.edges
+    rx, ry, rz = config.column_points - com[:, None]
+    moment = np.empty_like(e)
+    moment[0] = ry * e[2] - rz * e[1]
+    moment[1] = rz * e[0] - rx * e[2]
+    moment[2] = rx * e[1] - ry * e[0]
+    return GeneratingMatrices(e, moment, com)
 
 
 def required_wrench(body: RigidBodyParams, query: MotionQuery, com) -> Wrench:
@@ -256,12 +295,14 @@ def required_wrench(body: RigidBodyParams, query: MotionQuery, com) -> Wrench:
 
     Force balance gives ``force = mass * (accel - gravity)``; the moment equals
     the angular momentum rate (zero when the query leaves it unspecified).
+    ``com`` is validated here, and the force checked for overflow; the other
+    inputs were validated when the body and query were built.
     """
     com = _as_vec3(com, "com")
-    force = body.mass * (query.com_accel - body.gravity)
+    force = _freeze_finite(body.mass * (query.com_accel - body.gravity), "force")
     l_dot = query.angular_momentum_rate
-    moment = np.zeros(3) if l_dot is None else l_dot
-    return Wrench(force, moment, com)
+    moment = _ZERO3 if l_dot is None else l_dot
+    return Wrench._validated(force, moment, com)
 
 
 def rotation_aligning_z(v) -> np.ndarray:

@@ -23,7 +23,7 @@ MEMBERSHIP_TOL = 1e-9
 
 
 def _check_anchor(anchor: np.ndarray, about: np.ndarray):
-    if np.max(np.abs(anchor - about)) > ANCHOR_TOL:
+    if not (np.max(np.abs(anchor - about)) <= ANCHOR_TOL):  # NaN fails too
         raise AnchorMismatch(
             f"wrench is about {about}, but the generators are anchored at {anchor}"
         )

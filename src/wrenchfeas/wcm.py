@@ -24,6 +24,7 @@ point maps linearly to the same wrench about the old one.  That makes moving
 the reference point vastly cheaper than rebuilding.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ from .contacts import (
     MotionQuery,
     RigidBodyParams,
     Wrench,
+    _as_vec3,
     build_generating_matrices,
     required_wrench,
     rotation_aligning_z,
@@ -46,6 +48,8 @@ from .oracle import wrench_membership_lp
 POSITIVITY_EPS = 1e-10
 MEMBERSHIP_EPS = 1e-9
 ANCHOR_TOL = 1e-12
+_IDENTITY6 = np.eye(6)
+_ONES6 = np.ones(6)
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,7 @@ class WrenchConstraintMatrix:
             raise ValueError(f"rows must be (k, 6) with k >= 1, got {rows.shape}")
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "anchor", np.asarray(self.anchor, dtype=float))
 
     @property
     def n_rows(self) -> int:
@@ -139,38 +144,44 @@ def shift_wcm(wcm: WrenchConstraintMatrix, delta) -> WrenchConstraintMatrix:
     old point A via moment_A = moment_B + delta x force, so composing the rows
     with that map yields the constraints expressed about B.
     """
-    delta = np.asarray(delta, dtype=float)
+    delta = _as_vec3(delta, "delta")
     dx, dy, dz = delta.tolist()
     # The identity with skew(delta) in the lower-left block.
-    transfer = np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
-            [0.0, -dz, dy, 1.0, 0.0, 0.0],
-            [dz, 0.0, -dx, 0.0, 1.0, 0.0],
-            [-dy, dx, 0.0, 0.0, 0.0, 1.0],
-        ]
-    )
+    transfer = _IDENTITY6.copy()
+    transfer[3, 1], transfer[3, 2] = -dz, dy
+    transfer[4, 0], transfer[4, 2] = dz, -dx
+    transfer[5, 0], transfer[5, 1] = -dy, dx
     rows = wcm.rows @ transfer
-    rows /= np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+    # Row norms by a matrix-vector product: np.einsum costs more, most of all
+    # on the first call after other work has evicted its code from cache.
+    rows /= np.sqrt((rows * rows) @ _ONES6)[:, None]
     return WrenchConstraintMatrix(rows, wcm.anchor + delta, wcm.witness)
+
+
+def _check_anchor(anchor: np.ndarray, about: np.ndarray):
+    # Written so that a NaN anywhere fails the comparison.
+    (ax, ay, az), (bx, by, bz) = anchor.tolist(), about.tolist()
+    if not (
+        abs(ax - bx) <= ANCHOR_TOL
+        and abs(ay - by) <= ANCHOR_TOL
+        and abs(az - bz) <= ANCHOR_TOL
+    ):
+        raise AnchorMismatch(
+            f"wrench is about {about}, constraint matrix about "
+            f"{anchor}; shift the matrix first"
+        )
 
 
 def wrench_margin(wcm: WrenchConstraintMatrix, wrench: Wrench) -> float:
     """Smallest row activation; nonnegative (to tolerance) means achievable."""
-    if np.max(np.abs(wcm.anchor - wrench.about)) > ANCHOR_TOL:
-        raise AnchorMismatch(
-            f"wrench is about {wrench.about}, constraint matrix about "
-            f"{wcm.anchor}; shift the matrix first"
-        )
-    return float(np.min(wcm.rows @ wrench.as_array()))
+    _check_anchor(wcm.anchor, wrench.about)
+    return float((wcm.rows @ wrench.as_array()).min())
 
 
 def wrench_feasible(wcm: WrenchConstraintMatrix, wrench: Wrench) -> bool:
     """Membership test ``rows @ [force; moment] >= 0`` with a relative band."""
     margin = wrench_margin(wcm, wrench)
-    scale = 1.0 + float(np.linalg.norm(wrench.as_array()))
+    scale = 1.0 + math.hypot(*wrench.force.tolist(), *wrench.moment.tolist())
     return margin >= -MEMBERSHIP_EPS * scale
 
 
@@ -194,7 +205,7 @@ def acceleration_feasible(
     if not classification.constrained:
         if query.angular_momentum_rate is None:
             return True
-        if np.max(np.abs(classification.generating.anchor - com)) > ANCHOR_TOL:
+        if not (np.max(np.abs(classification.generating.anchor - com)) <= ANCHOR_TOL):
             raise AnchorMismatch(
                 "classification was built for a different anchor than the query"
             )

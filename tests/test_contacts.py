@@ -1,7 +1,12 @@
 """Contact model: pyramid generators, generating matrices, kinematic helpers."""
 
+import warnings
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wrenchfeas import (
     Contact,
@@ -17,6 +22,7 @@ from wrenchfeas import (
     skew,
 )
 from wrenchfeas.errors import ZeroVector
+from wrenchfeas.scenes import rotation_from_normal
 
 from conftest import flat_foot_config, random_config
 
@@ -103,32 +109,91 @@ class TestGeneratingMatrices:
             gen.force_generators, cone_generators(FrictionCone(0.8, 4))
         )
 
-    def test_column_consistency_with_origin_map(self):
+    def test_column_blocks_match_per_contact_reference(self):
         rng = np.random.default_rng(7)
         for _ in range(5):
             config = random_config(rng)
             com = rng.uniform(-0.3, 0.3, size=3)
             gen = build_generating_matrices(config, com)
-            for k, (ci, _) in enumerate(gen.column_origin):
-                arm = config.contacts[ci].point - gen.anchor
-                expected = skew(arm) @ gen.force_generators[:, k]
-                assert np.allclose(
-                    gen.moment_generators[:, k], expected, atol=1e-12
-                )
+            ref_force, ref_moment = reference_generators(config, com)
+            assert np.allclose(gen.force_generators, ref_force, atol=1e-12)
+            assert np.allclose(gen.moment_generators, ref_moment, atol=1e-12)
 
     def test_heterogeneous_side_counts(self):
         contacts = (
             Contact([0, 0, 0], np.eye(3), FrictionCone(0.8, 3)),
-            Contact([0.1, 0, 0], np.eye(3), FrictionCone(0.5, 5)),
+            Contact([0.1, 0, 0], rotation_from_normal([0.2, -0.1, 1.0]), FrictionCone(0.5, 5)),
         )
         gen = build_generating_matrices(ContactConfiguration(contacts), [0, 0, 0])
         assert gen.n_columns == 8
-        assert gen.column_origin[:3] == ((0, 0), (0, 1), (0, 2))
-        assert gen.column_origin[3:] == ((1, 0), (1, 1), (1, 2), (1, 3), (1, 4))
+        blocks = np.split(gen.force_generators, [3], axis=1)
+        for block, contact in zip(blocks, contacts):
+            expected = contact.rotation @ cone_generators(contact.cone)
+            assert np.allclose(block, expected, atol=1e-15)
+
+    def test_stacked_is_one_read_only_matrix(self):
+        gen = build_generating_matrices(flat_foot_config(), [0, 0, 0.8])
+        stacked = gen.stacked()
+        assert stacked is gen.stacked()
+        assert np.array_equal(stacked[:3], gen.force_generators)
+        assert np.array_equal(stacked[3:], gen.moment_generators)
+        with pytest.raises(ValueError):
+            stacked[0, 0] = 1.0
+
+
+def reference_generators(config, com):
+    """Per-contact reference: ``rotation @ cone_generators`` for the forces
+    and ``skew(point - com) @ edges`` for the moments, stacked in order."""
+    forces, moments = [], []
+    for contact in config.contacts:
+        edges = contact.rotation @ cone_generators(contact.cone)
+        forces.append(edges)
+        moments.append(skew(contact.point - np.asarray(com, dtype=float)) @ edges)
+    return np.hstack(forces), np.hstack(moments)
+
+
+_coord = st.floats(-2.0, 2.0, allow_nan=False)
+_contact = st.tuples(
+    st.tuples(_coord, _coord, _coord),  # point
+    st.tuples(_coord, _coord, _coord).filter(lambda n: np.linalg.norm(n) > 1e-3),
+    st.floats(0.0, 2.0 * np.pi),  # spin of the pyramid about its normal
+    st.one_of(st.just(0.0), st.floats(0.0, 1.5)),  # mu
+    st.integers(3, 8),  # sides
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_contact, min_size=1, max_size=16), st.tuples(_coord, _coord, _coord))
+def test_precomputed_generators_match_reference(drawn, com):
+    items = []
+    for point, normal, spin, mu, sides in drawn:
+        c, s = np.cos(spin), np.sin(spin)
+        rotation = rotation_from_normal(normal) @ np.array(
+            [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
+        )
+        items.append(Contact(point, rotation, FrictionCone(mu, sides)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # drawn contacts may repeat
+        config = ContactConfiguration(tuple(items))
+    gen = build_generating_matrices(config, com)
+    ref_force, ref_moment = reference_generators(config, com)
+    scale = max(1.0, float(np.abs(ref_moment).max()))
+    assert np.max(np.abs(gen.force_generators - ref_force)) <= 1e-13
+    assert np.max(np.abs(gen.moment_generators - ref_moment)) <= 1e-13 * scale
 
 
 class TestRequiredWrench:
     BODY = RigidBodyParams(10.0, [0.0, 0.0, -9.81])
+
+    @pytest.mark.parametrize("com", [[0, np.nan, 1], [np.inf, 0, 1], [0, 1]])
+    def test_bad_com_rejected(self, com):
+        with pytest.raises(ValueError, match="com"):
+            required_wrench(self.BODY, MotionQuery([0, 0, 0], [0, 0, 0]), com)
+
+    def test_force_overflow_rejected(self):
+        heavy = RigidBodyParams(1e300, [0.0, 0.0, -9.81])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="force"):
+            required_wrench(heavy, MotionQuery([1e10, 0, 0], [0, 0, 0]), [0, 0, 1])
 
     def test_free_fall_needs_nothing(self):
         w = required_wrench(self.BODY, MotionQuery([0, 0, -9.81]), [0, 0, 1])
@@ -223,6 +288,40 @@ class TestValidation:
     def test_nonfinite_wrench_rejected(self):
         with pytest.raises(ValueError):
             Wrench([np.nan, 0, 0], [0, 0, 0], [0, 0, 0])
+
+    @pytest.mark.parametrize("field", range(3))
+    @pytest.mark.parametrize(
+        "bad", [[0, 0, np.nan], [0, -np.inf, 0], [0, 0], [[0, 0, 0]]]
+    )
+    def test_wrench_fields_checked(self, field, bad):
+        args = [[0.0, 0.0, 0.0]] * 3
+        args[field] = bad
+        with pytest.raises(ValueError):
+            Wrench(*args)
+
+    def test_duplicate_contact_warning_names_each_later_index(self):
+        a = Contact([0, 0, 0], np.eye(3), FrictionCone(0.8, 4))
+        b = Contact([0, 0, 0], rotation_from_normal([0, 0.1, 1]), FrictionCone(0.8, 4))
+        with pytest.warns(UserWarning) as record:
+            ContactConfiguration((a, b, a, a))
+        assert [str(w.message).split(":")[0] for w in record] == [
+            "duplicate contact at index 2",
+            "duplicate contact at index 3",
+            "duplicate contact at index 3",
+        ]
+
+    def test_precomputed_geometry_not_in_equality_or_repr(self):
+        contacts = flat_foot_config().contacts
+        a, b = ContactConfiguration(contacts), ContactConfiguration(contacts)
+        assert a == b  # comparing the arrays would raise instead
+        assert "edges" not in repr(a) and "column_points" not in repr(a)
+        assert a.edges.shape == a.column_points.shape == (3, 16)
+        with pytest.raises(ValueError):
+            a.edges[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            a.column_points[0, 0] = 1.0
+        with pytest.raises(FrozenInstanceError):
+            a.edges = np.zeros((3, 16))
 
     def test_arrays_are_read_only(self):
         c = Contact([0, 0, 0], np.eye(3), FrictionCone(0.8, 4))

@@ -152,3 +152,13 @@ class TestCompareWcmOracle:
         )
         with pytest.raises(AnchorMismatch):
             compare_wcm_oracle(gen, moved, 10, rng_seed=0)
+
+    def test_nan_anchor_is_a_mismatch(self, flat_wcm):
+        # A NaN, even one that is not the first component, must fail the
+        # anchor guard rather than slip past a ``> tol`` comparison.
+        gen, wcm = flat_wcm
+        anchor = wcm.anchor.copy()
+        anchor[1] = np.nan
+        moved = WrenchConstraintMatrix(wcm.rows, anchor, wcm.witness)
+        with pytest.raises(AnchorMismatch):
+            compare_wcm_oracle(gen, moved, 10, rng_seed=0)

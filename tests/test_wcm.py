@@ -21,6 +21,7 @@ from wrenchfeas import (
     wrench_margin,
 )
 from wrenchfeas.errors import AnchorMismatch, WitnessOnBoundary
+from wrenchfeas.wcm import WrenchConstraintMatrix
 
 from conftest import (
     flat_foot_config,
@@ -233,6 +234,21 @@ class TestShift:
                     disagreements += 1
         assert disagreements == 0
 
+    @pytest.mark.parametrize(
+        "delta", [[np.nan, 0, 0], [0, 0, np.inf], [0.1, 0.2], [[0, 0, 0]]]
+    )
+    def test_bad_delta_rejected(self, built, delta):
+        _, _, wcm = built
+        with pytest.raises(ValueError, match="delta"):
+            shift_wcm(wcm, delta)
+
+    def test_shifted_rows_unit_and_read_only(self, built):
+        _, _, wcm = built
+        shifted = shift_wcm(wcm, [0.3, -0.2, 0.1])
+        assert np.allclose(np.linalg.norm(shifted.rows, axis=1), 1.0, atol=1e-14)
+        with pytest.raises(ValueError):
+            shifted.rows[0, 0] = 1.0
+
     def test_anchor_bookkeeping(self, built):
         _, _, wcm = built
         delta = np.array([0.1, 0.2, -0.3])
@@ -254,6 +270,18 @@ class TestQueries:
         wcm = build_wcm(scene.config, scene.com, cls.witness)
         with pytest.raises(AnchorMismatch):
             wrench_feasible(wcm, Wrench([0, 0, 1], [0, 0, 0], scene.com + 0.1))
+
+    def test_nan_anchor_is_a_mismatch(self, flat_foot_scene):
+        # NaN in a component other than the first: a max over abs() or a
+        # ``> tol`` test would let it through to a silent verdict.
+        scene = flat_foot_scene
+        cls = classify(scene.config, scene.com)
+        wcm = build_wcm(scene.config, scene.com, cls.witness)
+        anchor = scene.com.copy()
+        anchor[1] = np.nan
+        broken = WrenchConstraintMatrix(wcm.rows, anchor, wcm.witness)
+        with pytest.raises(AnchorMismatch):
+            wrench_feasible(broken, Wrench([0, 0, 1], [0, 0, 0], scene.com))
 
     def test_positive_row_scaling_changes_no_verdict(self, flat_foot_scene):
         scene = flat_foot_scene
@@ -282,6 +310,15 @@ class TestQueries:
         query = MotionQuery([0.0, 0.0, 1.0], [0.0, 0.0, 0.0])
         result = acceleration_feasible(cls, None, scene.body, query, scene.com)
         assert result in (True, False)  # resolved by the oracle, not assumed
+
+    def test_unconstrained_nan_com_is_a_mismatch(self, two_walls_scene):
+        scene = two_walls_scene
+        cls = classify(scene.config, scene.com)
+        com = scene.com.copy()
+        com[2] = np.nan
+        query = MotionQuery([0.0, 0.0, 1.0], [0.0, 0.0, 0.0])
+        with pytest.raises(AnchorMismatch):
+            acceleration_feasible(cls, None, scene.body, query, com)
 
     def test_free_fall_and_double_gravity(self, flat_foot_scene):
         scene = flat_foot_scene
