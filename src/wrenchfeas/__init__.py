@@ -20,7 +20,6 @@ from .contacts import (
     cone_generators,
     required_wrench,
     rotation_aligning_z,
-    skew,
 )
 from .feasibility import Classification, classify
 from .hull import HullResult, convex_hull
@@ -29,17 +28,15 @@ from .oracle import (
     MembershipVerdict,
     compare_wcm_oracle,
     force_membership_lp,
-    sample_feasible_wrench,
     wrench_membership_lp,
 )
 from .scenes import Scene, Scenario, bundled_path, load_scenario, load_scene
 from .simplex import solve
 from .wcm import (
-    ModifiedGenerators,
     WrenchConstraintMatrix,
     acceleration_feasible,
+    acceleration_verdict,
     build_wcm,
-    modified_generators,
     shift_wcm,
     wrench_feasible,
     wrench_margin,
@@ -56,7 +53,6 @@ __all__ = [
     "GeneratingMatrices",
     "HullResult",
     "MembershipVerdict",
-    "ModifiedGenerators",
     "MotionQuery",
     "RigidBodyParams",
     "Scenario",
@@ -64,6 +60,7 @@ __all__ = [
     "Wrench",
     "WrenchConstraintMatrix",
     "acceleration_feasible",
+    "acceleration_verdict",
     "build_generating_matrices",
     "build_wcm",
     "bundled_path",
@@ -74,12 +71,9 @@ __all__ = [
     "force_membership_lp",
     "load_scenario",
     "load_scene",
-    "modified_generators",
     "required_wrench",
     "rotation_aligning_z",
-    "sample_feasible_wrench",
     "shift_wcm",
-    "skew",
     "solve",
     "wrench_feasible",
     "wrench_margin",

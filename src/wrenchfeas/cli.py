@@ -16,21 +16,22 @@ analyze two_walls``).
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from .contacts import MotionQuery, Wrench, build_generating_matrices, required_wrench
+from .contacts import MotionQuery, Wrench, build_generating_matrices
 from .errors import SceneFormatError
 from .feasibility import classify
-from .oracle import wrench_membership_lp
 from .scenes import Scene, bundled_path, load_scenario, load_scene
 from .wcm import (
-    acceleration_feasible,
+    acceleration_verdict,
     build_wcm,
     shift_wcm,
     wrench_feasible,
@@ -41,13 +42,20 @@ WARMUP_REPS = 10
 
 
 def _triple(text: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected x,y,z, got {text!r}")
     try:
-        return np.array([float(p) for p in parts])
+        values = [float(p) for p in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected numbers in {text!r}") from None
+        values = []
+    if len(values) != 3 or not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"expected finite numbers x,y,z, got {text!r}")
+    return np.array(values)
+
+
+def count(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid count
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _resolve(path_arg: str) -> Path:
@@ -78,20 +86,19 @@ def _timed(fn):
     return value, time.perf_counter() - start
 
 
-def _classification_report(scene: Scene):
+def _classify_and_build(scene: Scene):
+    """Classification and, when constrained, ``W`` at the scene CoM, with the
+    seconds each took (``W`` and its time are None when unconstrained)."""
     cls, t_classify = _timed(lambda: classify(scene.config, scene.com))
-    wcm = None
-    t_build = None
+    wcm = t_build = None
     if cls.constrained:
-        wcm, t_build = _timed(
-            lambda: build_wcm(scene.config, scene.com, cls.witness)
-        )
+        wcm, t_build = _timed(lambda: build_wcm(scene.config, scene.com, cls.witness))
     return cls, wcm, t_classify, t_build
 
 
 def cmd_analyze(args) -> int:
     scene = load_scene(_resolve(args.scene))
-    cls, wcm, t_classify, t_build = _classification_report(scene)
+    cls, wcm, t_classify, t_build = _classify_and_build(scene)
     report = {
         "command": "analyze",
         "n_contacts": len(scene.config),
@@ -116,11 +123,8 @@ def cmd_analyze(args) -> int:
 def cmd_check(args) -> int:
     scene = load_scene(_resolve(args.scene))
     query = MotionQuery(args.accel, args.ldot)
-    cls, wcm, _, _ = _classification_report(scene)
-    feasible = acceleration_feasible(cls, wcm, scene.body, query, scene.com)
-    margin = None
-    if cls.constrained:
-        margin = wrench_margin(wcm, required_wrench(scene.body, query, scene.com))
+    cls, wcm, _, _ = _classify_and_build(scene)
+    feasible, margin = acceleration_verdict(cls, wcm, scene.body, query, scene.com)
     _emit(
         {
             "command": "check",
@@ -136,11 +140,10 @@ def cmd_check(args) -> int:
 
 def cmd_shift(args) -> int:
     scene = load_scene(_resolve(args.scene))
-    cls = classify(scene.config, scene.com)
-    if not cls.constrained:
+    cls, original, _, _ = _classify_and_build(scene)
+    if original is None:
         print("no WCM exists: configuration is unconstrained", file=sys.stderr)
         return 1
-    original = build_wcm(scene.config, scene.com, cls.witness)
     shifted, t_shift = _timed(lambda: shift_wcm(original, args.delta))
     target_com = scene.com + args.delta
     rebuilt, t_rebuild = _timed(
@@ -148,8 +151,7 @@ def cmd_shift(args) -> int:
     )
 
     rng = np.random.default_rng(args.seed)
-    gen_b = build_generating_matrices(scene.config, target_com)
-    stacked = gen_b.stacked()
+    stacked = build_generating_matrices(scene.config, target_com).stacked()
     agree = disagree = excluded = 0
     scale_hint = 1.0
     for k in range(args.samples):
@@ -200,36 +202,23 @@ def cmd_scenario(args) -> int:
     all_feasible = True
     for phase in scenario.phases:
         scene = phase.scene
-        cls, t_classify = _timed(lambda: classify(scene.config, scene.com))
-        wcm = None
-        t_build = None
-        if cls.constrained:
-            wcm, t_build = _timed(
-                lambda: build_wcm(scene.config, scene.com, cls.witness)
-            )
+        cls, wcm, t_classify, t_build = _classify_and_build(scene)
         shift_times = []
         for sample in phase.samples:
-            query = sample.query()
-            if cls.constrained:
+            # Re-anchor at the sample CoM what the answer reads: W when it
+            # exists, else the classification's generators.
+            here, moved = cls, None
+            if wcm is None:
+                gen = build_generating_matrices(scene.config, sample.com)
+                here = dataclasses.replace(cls, generating=gen)
+            else:
                 moved, t_move = _timed(
                     lambda: shift_wcm(wcm, sample.com - wcm.anchor)
                 )
                 shift_times.append(t_move)
-                wrench = required_wrench(scene.body, query, sample.com)
-                margin = wrench_margin(moved, wrench)
-                feasible = wrench_feasible(moved, wrench)
-            else:
-                # Arbitrary force: feasible outright unless the sample pins
-                # the moment, which only the membership oracle can answer.
-                margin = None
-                if sample.l_dot is None:
-                    feasible = True
-                else:
-                    gen_here = build_generating_matrices(
-                        scene.config, sample.com
-                    )
-                    wrench = required_wrench(scene.body, query, sample.com)
-                    feasible = wrench_membership_lp(gen_here, wrench).feasible
+            feasible, margin = acceleration_verdict(
+                here, moved, scene.body, sample.query(), sample.com
+            )
             all_feasible &= feasible
             timeline.append(
                 {
@@ -262,15 +251,7 @@ def cmd_scenario(args) -> int:
         }
     )
     if args.csv:
-        header = [
-            "phase",
-            "t",
-            "feasible",
-            "margin",
-            "classify_us",
-            "wcm_build_us",
-            "mean_shift_us",
-        ]
+        timings = ("classify_us", "wcm_build_us", "mean_shift_us")
         by_name = {row["phase"]: row for row in phase_rows}
         rows = [
             [
@@ -278,40 +259,28 @@ def cmd_scenario(args) -> int:
                 entry["t"],
                 int(entry["feasible"]),
                 "" if entry["margin"] is None else entry["margin"],
-                by_name[entry["phase"]]["classify_us"],
-                by_name[entry["phase"]]["wcm_build_us"] or "",
-                by_name[entry["phase"]]["mean_shift_us"] or "",
+                *(by_name[entry["phase"]][key] or "" for key in timings),
             ]
             for entry in timeline
         ]
-        _write_csv(args.csv, header, rows)
+        _write_csv(args.csv, ["phase", "t", "feasible", "margin", *timings], rows)
     return 0 if all_feasible else 1
 
 
 def cmd_bench(args) -> int:
     scene = load_scene(_resolve(args.scene))
     rng = np.random.default_rng(args.seed)
-    cls = classify(scene.config, scene.com)
-
-    timings = {"classify": []}
-    if cls.constrained:
-        timings["build_wcm"] = []
-        timings["shift_wcm"] = []
-        wcm = build_wcm(scene.config, scene.com, cls.witness)
-    total = args.reps + WARMUP_REPS
-    for i in range(total):
-        measured = i >= WARMUP_REPS
-        _, t = _timed(lambda: classify(scene.config, scene.com))
-        if measured:
-            timings["classify"].append(t)
-        if cls.constrained:
-            _, t = _timed(lambda: build_wcm(scene.config, scene.com, cls.witness))
-            if measured:
-                timings["build_wcm"].append(t)
+    timings = {}
+    for i in range(-WARMUP_REPS, args.reps):
+        cls, wcm, t_classify, t_build = _classify_and_build(scene)
+        times = {"classify": t_classify}
+        if wcm is not None:
             delta = rng.uniform(-0.1, 0.1, size=3)
-            _, t = _timed(lambda: shift_wcm(wcm, delta))
-            if measured:
-                timings["shift_wcm"].append(t)
+            times["build_wcm"] = t_build
+            times["shift_wcm"] = _timed(lambda: shift_wcm(wcm, delta))[1]
+        if i >= 0:
+            for op, t in times.items():
+                timings.setdefault(op, []).append(t)
 
     stats = {}
     for op, values in timings.items():
@@ -362,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shift", help="re-anchor the constraint matrix and compare")
     p.add_argument("scene")
     p.add_argument("--delta", type=_triple, required=True, metavar="x,y,z")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=count, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_shift)
@@ -374,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="timing statistics for one scene")
     p.add_argument("scene")
-    p.add_argument("--reps", type=int, default=100)
+    p.add_argument("--reps", type=count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_bench)
@@ -399,9 +368,5 @@ def main(argv=None) -> int:
         return 2
 
 
-def entry():
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ZeroVector
+from .errors import AnchorMismatch, ZeroVector
 
 ORTHONORMAL_TOL = 1e-10
+ANCHOR_TOL = 1e-12
 _ZERO3 = np.zeros(3)
 _ZERO3.flags.writeable = False
 
@@ -41,6 +42,12 @@ def _freeze_finite(v: np.ndarray, name: str) -> np.ndarray:
         raise ValueError(f"{name} must have finite components")
     v.flags.writeable = False
     return v
+
+
+def _check_anchor(anchor: np.ndarray, about: np.ndarray, what: str):
+    # Written so that a NaN anywhere fails the comparison.
+    if not math.dist(anchor.tolist(), about.tolist()) <= ANCHOR_TOL:
+        raise AnchorMismatch(f"{what} anchored at {anchor}, not at {about}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ space, which downstream code needs because single-contact and symmetric
 scenes genuinely produce flat point clouds.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +28,10 @@ class HullResult:
     ``facets`` is a read-only k x (dim + 1) array whose rows
     ``[normal | offset]`` (unit normal) mean ``normal . p >= offset``.
     ``equalities`` is a read-only m x (dim + 1) array of the same layout
-    whose rows mean ``normal . p == offset``; each normal's first
-    non-negligible component is positive.  ``affine_dim + m == dim`` always
-    holds, and every input point satisfies every row to tolerance.
+    whose rows mean ``normal . p == offset``; its normals, an orthonormal basis
+    set by the affine hull alone, each have a positive first non-negligible
+    component.  ``affine_dim + m == dim`` always holds, and every input point
+    satisfies every row to tolerance.
     """
 
     facets: np.ndarray
@@ -43,15 +45,34 @@ class HullResult:
 
 
 def _affine_split(pts: np.ndarray):
-    # Singular values below RANK_TOL times the largest are treated as zero.
+    # Singular values below RANK_TOL times the largest are treated as zero,
+    # and so are those at the rounding level of the coordinates (at most
+    # |centroid| + sv[0]), which is all centering leaves of coincident points.
     centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    _, sv, vt = np.linalg.svd(centered, full_matrices=True)
-    if sv.size == 0 or sv[0] <= np.finfo(float).tiny:
-        rank = 0
-    else:
-        rank = int(np.sum(sv > RANK_TOL * sv[0]))
-    return rank, vt[:rank], vt[rank:], centroid
+    _, sv, vt = np.linalg.svd(pts - centroid, full_matrices=True)
+    size = max(map(abs, centroid.tolist())) + sv[0]
+    noise = 16 * len(pts) * np.finfo(float).eps * size
+    rank = int(np.sum(sv > max(RANK_TOL * sv[0], noise, np.finfo(float).tiny)))
+    complement = vt[rank:] if rank == len(vt) else _canonical_basis(vt[rank:])
+    return rank, vt[:rank], complement, centroid
+
+
+def _canonical_basis(rows: np.ndarray) -> np.ndarray:
+    # Rounding noise sets the SVD's basis of a flat cloud's complement, so
+    # take Gram-Schmidt over the columns of its projector in index order,
+    # keeping a column whose unspanned part's squared length (its diagonal
+    # entry) exceeds ``cut2``.  One always does: those sum to >= 1, the skipped
+    # ones to < dim * cut2 = 1/e.  An irrational cut ties no rational cloud.
+    cut2 = 1.0 / (math.e * rows.shape[1])
+    unspanned = rows.T @ rows
+    basis = []
+    for j in range(rows.shape[1]):
+        if unspanned[j, j] > cut2:
+            basis.append(unspanned[j] / math.sqrt(unspanned[j, j]))
+            if len(basis) == len(rows):
+                break
+            unspanned -= basis[-1][:, None] * basis[-1]
+    return np.array(basis).reshape(len(rows), rows.shape[1])
 
 
 def convex_hull(points) -> HullResult:

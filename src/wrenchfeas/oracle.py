@@ -14,19 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contacts import GeneratingMatrices, Wrench
-from .errors import AnchorMismatch, LpFailure
+from .contacts import GeneratingMatrices, Wrench, _check_anchor
+from .errors import LpFailure
 from .simplex import solve
 
-ANCHOR_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-9
-
-
-def _check_anchor(anchor: np.ndarray, about: np.ndarray):
-    if not (np.max(np.abs(anchor - about)) <= ANCHOR_TOL):  # NaN fails too
-        raise AnchorMismatch(
-            f"wrench is about {about}, but the generators are anchored at {anchor}"
-        )
 
 
 @dataclass(frozen=True)
@@ -48,7 +40,7 @@ def _membership(matrix: np.ndarray, target: np.ndarray) -> MembershipVerdict:
 def wrench_membership_lp(gen: GeneratingMatrices, wrench: Wrench) -> MembershipVerdict:
     """Can the contacts produce this exact wrench?  Feasibility of
     ``stacked_generators @ a == [force; moment]`` with ``a >= 0``."""
-    _check_anchor(gen.anchor, wrench.about)
+    _check_anchor(gen.anchor, wrench.about, "generators")
     return _membership(gen.stacked(), wrench.as_array())
 
 
@@ -56,16 +48,6 @@ def force_membership_lp(gen: GeneratingMatrices, force) -> MembershipVerdict:
     """Can the contacts produce this total force, with any moment?"""
     force = np.asarray(force, dtype=float)
     return _membership(gen.force_generators, force)
-
-
-def sample_feasible_wrench(gen: GeneratingMatrices, rng_seed: int) -> Wrench:
-    """A wrench guaranteed achievable: generators combined with coefficients
-    drawn i.i.d. unit-exponential.  Deterministic for a given seed."""
-    rng = np.random.default_rng(rng_seed)
-    coeff = rng.exponential(size=gen.n_columns)
-    return Wrench(
-        gen.force_generators @ coeff, gen.moment_generators @ coeff, gen.anchor
-    )
 
 
 @dataclass(frozen=True)
@@ -108,7 +90,7 @@ def compare_wcm_oracle(
     walking a ray from a feasible wrench and bisecting with the membership
     test.  Every emitted verdict was established by an actual solve.
     """
-    _check_anchor(gen.anchor, wcm.anchor)
+    _check_anchor(gen.anchor, wcm.anchor, "generators")
     rng = np.random.default_rng(rng_seed)
     stacked = gen.stacked()
 

@@ -192,14 +192,17 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
-def load_scene(path) -> Scene:
-    path = Path(path)
+def _read_json(path: Path):
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            return json.load(handle)
     except json.JSONDecodeError as exc:
         raise SceneFormatError(f"{path}: invalid JSON: {exc}") from None
-    return scene_from_dict(data, where=str(path.name))
+
+
+def load_scene(path) -> Scene:
+    path = Path(path)
+    return scene_from_dict(_read_json(path), where=str(path.name))
 
 
 def scenario_from_dict(data, base_dir: Path, where: str = "scenario") -> Scenario:
@@ -250,12 +253,7 @@ def scenario_from_dict(data, base_dir: Path, where: str = "scenario") -> Scenari
 
 def load_scenario(path) -> Scenario:
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise SceneFormatError(f"{path}: invalid JSON: {exc}") from None
-    return scenario_from_dict(data, path.parent, where=str(path.name))
+    return scenario_from_dict(_read_json(path), path.parent, where=str(path.name))
 
 
 def bundled_path(name: str) -> Path:

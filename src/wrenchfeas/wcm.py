@@ -36,18 +36,18 @@ from .contacts import (
     RigidBodyParams,
     Wrench,
     _as_vec3,
+    _check_anchor,
     build_generating_matrices,
     required_wrench,
     rotation_aligning_z,
 )
-from .errors import AnchorMismatch, WitnessOnBoundary
+from .errors import WitnessOnBoundary
 from .feasibility import Classification
 from .hull import convex_hull
 from .oracle import wrench_membership_lp
 
 POSITIVITY_EPS = 1e-10
 MEMBERSHIP_EPS = 1e-9
-ANCHOR_TOL = 1e-12
 _IDENTITY6 = np.eye(6)
 _ONES6 = np.ones(6)
 
@@ -61,7 +61,6 @@ class ModifiedGenerators:
     force_generators: np.ndarray
     moment_generators: np.ndarray
     rotation: np.ndarray
-    witness: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,6 @@ class WrenchConstraintMatrix:
 
     rows: np.ndarray
     anchor: np.ndarray
-    witness: np.ndarray
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
@@ -109,7 +107,7 @@ def modified_generators(gen: GeneratingMatrices, v) -> ModifiedGenerators:
     force = (rot @ gen.force_generators) * scale
     moment = (rot @ gen.moment_generators) * scale
     force[2, :] = 1.0  # exact by construction; the hull step relies on it
-    return ModifiedGenerators(force, moment, rot, v)
+    return ModifiedGenerators(force, moment, rot)
 
 
 def build_wcm(config: ContactConfiguration, com, v) -> WrenchConstraintMatrix:
@@ -134,7 +132,7 @@ def build_wcm(config: ContactConfiguration, com, v) -> WrenchConstraintMatrix:
     frame[3:, 3:] = mod.rotation
     world_rows = rows @ frame
     world_rows /= np.linalg.norm(world_rows, axis=1, keepdims=True)
-    return WrenchConstraintMatrix(world_rows, gen.anchor, mod.witness)
+    return WrenchConstraintMatrix(world_rows, gen.anchor)
 
 
 def shift_wcm(wcm: WrenchConstraintMatrix, delta) -> WrenchConstraintMatrix:
@@ -155,65 +153,57 @@ def shift_wcm(wcm: WrenchConstraintMatrix, delta) -> WrenchConstraintMatrix:
     # Row norms by a matrix-vector product: np.einsum costs more, most of all
     # on the first call after other work has evicted its code from cache.
     rows /= np.sqrt((rows * rows) @ _ONES6)[:, None]
-    return WrenchConstraintMatrix(rows, wcm.anchor + delta, wcm.witness)
-
-
-def _check_anchor(anchor: np.ndarray, about: np.ndarray):
-    # Written so that a NaN anywhere fails the comparison.
-    (ax, ay, az), (bx, by, bz) = anchor.tolist(), about.tolist()
-    if not (
-        abs(ax - bx) <= ANCHOR_TOL
-        and abs(ay - by) <= ANCHOR_TOL
-        and abs(az - bz) <= ANCHOR_TOL
-    ):
-        raise AnchorMismatch(
-            f"wrench is about {about}, constraint matrix about "
-            f"{anchor}; shift the matrix first"
-        )
+    return WrenchConstraintMatrix(rows, wcm.anchor + delta)
 
 
 def wrench_margin(wcm: WrenchConstraintMatrix, wrench: Wrench) -> float:
     """Smallest row activation; nonnegative (to tolerance) means achievable."""
-    _check_anchor(wcm.anchor, wrench.about)
+    _check_anchor(wcm.anchor, wrench.about, "constraint matrix")
     return float((wcm.rows @ wrench.as_array()).min())
 
 
-def wrench_feasible(wcm: WrenchConstraintMatrix, wrench: Wrench) -> bool:
-    """Membership test ``rows @ [force; moment] >= 0`` with a relative band."""
-    margin = wrench_margin(wcm, wrench)
+def _within_band(margin: float, wrench: Wrench) -> bool:
     scale = 1.0 + math.hypot(*wrench.force.tolist(), *wrench.moment.tolist())
     return margin >= -MEMBERSHIP_EPS * scale
 
 
-def acceleration_feasible(
+def wrench_feasible(wcm: WrenchConstraintMatrix, wrench: Wrench) -> bool:
+    """Membership test ``rows @ [force; moment] >= 0`` with a relative band."""
+    return _within_band(wrench_margin(wcm, wrench), wrench)
+
+
+def acceleration_verdict(
     classification: Classification,
     wcm: WrenchConstraintMatrix | None,
     body: RigidBodyParams,
     query: MotionQuery,
     com,
-) -> bool:
+) -> tuple[bool, float | None]:
     """Can the contacts support the queried motion of the center of mass?
+    Returns the verdict and the required wrench's margin against ``wcm``.
 
-    Unconstrained configurations admit every total force, so a query that
-    does not pin the angular momentum rate is always feasible; when the query
-    does pin it, the full wrench is checked against the membership oracle
-    (arbitrary force does not by itself guarantee an arbitrary moment).
-    Constrained configurations check the required wrench against the
-    constraint matrix.
+    Constrained configurations check that wrench against ``wcm``.
+    Unconstrained ones admit every total force, so a query that does not pin
+    the angular momentum rate is feasible, with no margin; a pinned one goes
+    to the membership oracle, since arbitrary force does not by itself give
+    an arbitrary moment.  ``wcm``, or else the classification's generators,
+    must be anchored at ``com``.
     """
-    com = np.asarray(com, dtype=float)
-    if not classification.constrained:
-        if query.angular_momentum_rate is None:
-            return True
-        if not (np.max(np.abs(classification.generating.anchor - com)) <= ANCHOR_TOL):
-            raise AnchorMismatch(
-                "classification was built for a different anchor than the query"
+    if classification.constrained:
+        if wcm is None:
+            raise ValueError(
+                "constrained configuration: a wrench constraint matrix is required"
             )
         wrench = required_wrench(body, query, com)
-        return wrench_membership_lp(classification.generating, wrench).feasible
-    if wcm is None:
-        raise ValueError(
-            "constrained configuration: a wrench constraint matrix is required"
-        )
-    wrench = required_wrench(body, query, com)
-    return wrench_feasible(wcm, wrench)
+        margin = wrench_margin(wcm, wrench)
+        return _within_band(margin, wrench), margin
+    if query.angular_momentum_rate is None:
+        return True, None
+    gen = classification.generating
+    _check_anchor(gen.anchor, np.asarray(com, dtype=float), "classification")
+    return wrench_membership_lp(gen, required_wrench(body, query, com)).feasible, None
+
+
+def acceleration_feasible(classification, wcm, body, query, com) -> bool:
+    """The verdict of ``acceleration_verdict``, without the margin."""
+    return acceleration_verdict(classification, wcm, body, query, com)[0]

@@ -20,12 +20,12 @@ from wrenchfeas import (
     load_scenario,
     load_scene,
     bundled_path,
-    modified_generators,
     shift_wcm,
     wrench_feasible,
     wrench_margin,
     wrench_membership_lp,
 )
+from wrenchfeas.wcm import modified_generators
 
 from conftest import (
     flat_foot_config,

@@ -8,8 +8,21 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from wrenchfeas import bundled_path
+import pytest
+from wrenchfeas import (
+    MotionQuery,
+    build_generating_matrices,
+    bundled_path,
+    required_wrench,
+    wrench_membership_lp,
+)
 from wrenchfeas.cli import main
+from wrenchfeas.scenes import scene_from_dict
+
+BUNDLED_SCENES = sorted(
+    p.stem for p in bundled_path("flat_foot").parent.glob("*.json")
+    if "scenario" not in p.stem
+)
 
 
 def run(capsys, *argv):
@@ -102,6 +115,23 @@ class TestCheck:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "flat_foot", "--accel", "nan,0,0"],
+        ["shift", "flat_foot", "--delta", "inf,0,0"],
+        ["bench", "flat_foot", "--reps", "0"],
+        ["shift", "flat_foot", "--delta", "0,0,0", "--samples", "-3"],
+    ],
+    ids=["nan-accel", "inf-delta", "zero-reps", "negative-samples"],
+)
+def test_out_of_range_flag_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert argv[-2] in err
+
+
 class TestShift:
     def test_zero_delta_identical(self, capsys):
         code, report, _ = run_json(
@@ -168,37 +198,77 @@ class TestScenario:
     def test_unconstrained_phase_with_pinned_moment_uses_oracle(
         self, capsys, tmp_path
     ):
-        scene = json.load(open(bundled_path("two_walls")))
+        # Two walls, and two opposed contacts pinching the CoM height, where
+        # a pinned moment about x is out of reach at the contacts' height.
+        walls = json.load(open(bundled_path("two_walls")))
+        pinch = {
+            "mass": 60.0,
+            "gravity": [0.0, 0.0, -9.81],
+            "com": [0.0, 0.0, 0.6],
+            "contacts": [
+                {"point": [-0.3, 0.0, 0.6], "normal": [1, 0, 0], "mu": 0.8, "sides": 4},
+                {"point": [0.3, 0.0, 0.6], "normal": [-1, 0, 0], "mu": 0.8, "sides": 4},
+            ],
+        }
+        samples = [
+            ([0.0, 0.0, 0.6], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]),
+            ([0.0, 0.0, 0.65], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]),
+            ([0.0, 0.0, 0.6], [0.0, 0.0, 0.5], [5.0, 0.0, 0.0]),
+            ([0.0, 0.0, 0.7], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]),
+        ]
+        trajectory = [
+            {"t": 0.1 * k, "com": com, "accel": accel, "l_dot": l_dot}
+            for k, (com, accel, l_dot) in enumerate(samples)
+        ]
+        scenes = {"walls": walls, "pinch": pinch}
         scenario = {
             "phases": [
-                {
-                    "name": "pinned",
-                    "scene": scene,
-                    "com_trajectory": [
-                        {
-                            "t": 0.0,
-                            "com": [0.0, 0.0, 0.6],
-                            "accel": [0.0, 0.0, 1.0],
-                            "l_dot": [0.0, 0.0, 0.0],
-                        },
-                        {
-                            "t": 0.5,
-                            "com": [0.0, 0.0, 0.65],
-                            "accel": [0.0, 0.0, 0.5],
-                            "l_dot": [0.0, 0.0, 0.0],
-                        },
-                    ],
-                }
+                {"name": name, "scene": scene, "com_trajectory": trajectory}
+                for name, scene in scenes.items()
             ]
         }
         path = tmp_path / "pinned.json"
         path.write_text(json.dumps(scenario))
         code, report, _ = run_json(capsys, "scenario", str(path))
-        assert report["phases"][0]["classification"] == "unconstrained"
-        assert code in (0, 1)
-        assert all(
-            isinstance(entry["feasible"], bool) for entry in report["timeline"]
-        )
+        assert all(p["classification"] == "unconstrained" for p in report["phases"])
+
+        expected = []
+        for name, raw in scenes.items():
+            scene = scene_from_dict(raw)
+            for com, accel, l_dot in samples:
+                gen = build_generating_matrices(scene.config, com)
+                wrench = required_wrench(scene.body, MotionQuery(accel, l_dot), com)
+                expected.append(wrench_membership_lp(gen, wrench).feasible)
+        assert [entry["feasible"] for entry in report["timeline"]] == expected
+        assert set(expected) == {True, False}
+        assert code == 1
+
+    @pytest.mark.parametrize("ldot", [None, "0.5,-1,2"], ids=["free", "pinned"])
+    @pytest.mark.parametrize("name", BUNDLED_SCENES)
+    def test_one_sample_scenario_matches_check(self, capsys, tmp_path, name, ldot):
+        accel = "1,-2,4"
+        check_argv = ["check", name, "--accel", accel]
+        if ldot is not None:
+            check_argv += ["--ldot", ldot]
+        check_code, check, _ = run_json(capsys, *check_argv)
+
+        raw = json.load(open(bundled_path(name)))
+        sample = {"t": 0.0, "com": raw["com"], "accel": [float(x) for x in accel.split(",")]}
+        if ldot is not None:
+            sample["l_dot"] = [float(x) for x in ldot.split(",")]
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(
+            {"phases": [{"name": name, "scene": raw, "com_trajectory": [sample]}]}
+        ))
+        code, report, _ = run_json(capsys, "scenario", str(path))
+        (entry,) = report["timeline"]
+        assert code == check_code
+        assert entry["feasible"] == (check["verdict"] == "feasible")
+        assert report["phases"][0]["classification"] == check["classification"]
+        if check["min_margin"] is None:
+            assert entry["margin"] is None
+        else:
+            assert entry["margin"] == pytest.approx(check["min_margin"], rel=1e-12, abs=1e-12)
 
 
 class TestScenarioDeterminism:

@@ -19,8 +19,8 @@ from wrenchfeas import (
     cone_generators,
     required_wrench,
     rotation_aligning_z,
-    skew,
 )
+from wrenchfeas.contacts import skew
 from wrenchfeas.errors import ZeroVector
 from wrenchfeas.scenes import rotation_from_normal
 

@@ -17,12 +17,12 @@ from wrenchfeas import (
     cone_generators,
     convex_hull,
     load_scene,
-    modified_generators,
 )
 from wrenchfeas import hull
 from wrenchfeas.errors import DegenerateInput
 from wrenchfeas.hull import MERGE_TOL
 from wrenchfeas.scenes import rotation_from_normal
+from wrenchfeas.wcm import modified_generators
 
 from conftest import random_config
 from wrenchfeas import build_generating_matrices
@@ -273,8 +273,16 @@ def test_hull_properties(pts, data):
     assert_description_valid(pts, result)
 
     order = data.draw(st.permutations(range(len(pts))))
-    assert same_rows(convex_hull(pts[order]).facets, result.facets, 1e-8)
+    permuted = convex_hull(pts[order])
+    assert same_rows(permuted.facets, result.facets, 1e-8)
     assert same_rows(convex_hull(np.vstack([pts, pts])).facets, result.facets, 1e-8)
+
+    # The equalities depend on the subspace alone: neither the order of the
+    # points nor a one-ulp nudge of every coordinate moves them.
+    nudged = convex_hull(np.nextafter(pts, np.inf))
+    for other in (permuted, nudged):
+        assert other.equalities.shape == result.equalities.shape
+        assert np.all(np.abs(other.equalities - result.equalities) <= 1e-12)
 
     gap = np.abs(result.facets[:, None, :] - result.facets[None, :, :]).max(axis=2)
     np.fill_diagonal(gap, np.inf)

@@ -13,13 +13,12 @@ from wrenchfeas import (
     build_wcm,
     compare_wcm_oracle,
     force_membership_lp,
-    sample_feasible_wrench,
     wrench_membership_lp,
 )
 from wrenchfeas.errors import AnchorMismatch
 from wrenchfeas.wcm import WrenchConstraintMatrix
 
-from conftest import flat_foot_config, random_config
+from conftest import flat_foot_config
 
 
 @pytest.fixture(scope="module")
@@ -83,37 +82,6 @@ def test_force_membership(flat_gen):
     assert not force_membership_lp(flat_gen, [0.0, 0.0, -1.0]).feasible
 
 
-class TestSampleFeasibleWrench:
-    def test_deterministic_per_seed(self, flat_gen):
-        a = sample_feasible_wrench(flat_gen, 123)
-        b = sample_feasible_wrench(flat_gen, 123)
-        assert np.array_equal(a.as_array(), b.as_array())
-        c = sample_feasible_wrench(flat_gen, 124)
-        assert not np.array_equal(a.as_array(), c.as_array())
-
-    def test_always_passes_membership(self, flat_gen):
-        for seed in range(10):
-            wrench = sample_feasible_wrench(flat_gen, seed)
-            assert wrench_membership_lp(flat_gen, wrench).feasible
-
-    def test_sample_mean_matches_row_sums(self):
-        # Unit-exponential coefficients have mean one, so the sample mean
-        # converges to the generator row sums.
-        rng = np.random.default_rng(0)
-        config = random_config(rng, n_contacts=4)
-        gen = build_generating_matrices(config, [0.05, -0.02, 0.4])
-        stacked = gen.stacked()
-        total = np.zeros(6)
-        n = 10_000
-        for seed in range(n):
-            total += sample_feasible_wrench(gen, seed).as_array()
-        mean = total / n
-        expected = stacked.sum(axis=1)
-        assert np.all(
-            np.abs(mean - expected) <= 0.05 * (1.0 + np.abs(expected))
-        )
-
-
 @pytest.fixture(scope="module")
 def flat_wcm():
     config = flat_foot_config()
@@ -141,15 +109,13 @@ class TestCompareWcmOracle:
         gen, wcm = flat_wcm
         rows = wcm.rows.copy()
         rows[0] = -rows[0]
-        broken = WrenchConstraintMatrix(rows, wcm.anchor, wcm.witness)
+        broken = WrenchConstraintMatrix(rows, wcm.anchor)
         report = compare_wcm_oracle(gen, broken, 400, rng_seed=9)
         assert report.disagree > 0
 
     def test_anchor_mismatch(self, flat_wcm):
         gen, wcm = flat_wcm
-        moved = WrenchConstraintMatrix(
-            wcm.rows, wcm.anchor + [0, 0, 0.1], wcm.witness
-        )
+        moved = WrenchConstraintMatrix(wcm.rows, wcm.anchor + [0, 0, 0.1])
         with pytest.raises(AnchorMismatch):
             compare_wcm_oracle(gen, moved, 10, rng_seed=0)
 
@@ -159,6 +125,6 @@ class TestCompareWcmOracle:
         gen, wcm = flat_wcm
         anchor = wcm.anchor.copy()
         anchor[1] = np.nan
-        moved = WrenchConstraintMatrix(wcm.rows, anchor, wcm.witness)
+        moved = WrenchConstraintMatrix(wcm.rows, anchor)
         with pytest.raises(AnchorMismatch):
             compare_wcm_oracle(gen, moved, 10, rng_seed=0)
