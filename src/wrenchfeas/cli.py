@@ -26,9 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .contacts import MotionQuery, Wrench, build_generating_matrices
+from .contacts import MotionQuery, Wrench, build_generating_matrices, required_wrench
 from .errors import SceneFormatError
 from .feasibility import classify
+from .oracle import BOUNDARY_BAND
 from .scenes import Scene, bundled_path, load_scenario, load_scene
 from .wcm import (
     acceleration_verdict,
@@ -51,11 +52,22 @@ def _triple(text: str) -> np.ndarray:
     return np.array(values)
 
 
-def count(text: str) -> int:
-    value = int(text)  # argparse reports a ValueError as an invalid count
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid integer
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return integer
+
+
+def _flag_checked(flag: str, build):
+    """``build()``, reporting its ValueError (an overflow) as bad ``flag``."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise SceneFormatError(f"{flag}: {exc}") from None
 
 
 def _resolve(path_arg: str) -> Path:
@@ -123,6 +135,7 @@ def cmd_analyze(args) -> int:
 def cmd_check(args) -> int:
     scene = load_scene(_resolve(args.scene))
     query = MotionQuery(args.accel, args.ldot)
+    _flag_checked("--accel", lambda: required_wrench(scene.body, query, scene.com))
     cls, wcm, _, _ = _classify_and_build(scene)
     feasible, margin = acceleration_verdict(cls, wcm, scene.body, query, scene.com)
     _emit(
@@ -160,14 +173,14 @@ def cmd_shift(args) -> int:
             scale_hint = max(scale_hint, float(np.linalg.norm(w6)))
         else:
             w6 = rng.normal(size=6) * scale_hint / np.sqrt(6.0)
-        wrench = Wrench(w6[:3], w6[3:], target_com)
+        wrench = _flag_checked("--delta", lambda: Wrench(w6[:3], w6[3:], target_com))
         a = wrench_feasible(shifted, wrench)
         b = wrench_feasible(rebuilt, wrench)
         if a == b:
             agree += 1
         elif min(
             abs(wrench_margin(shifted, wrench)), abs(wrench_margin(rebuilt, wrench))
-        ) <= 1e-7 * (1.0 + np.linalg.norm(w6)):
+        ) <= BOUNDARY_BAND * (1.0 + np.linalg.norm(w6)):
             excluded += 1
         else:
             disagree += 1
@@ -331,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shift", help="re-anchor the constraint matrix and compare")
     p.add_argument("scene")
     p.add_argument("--delta", type=_triple, required=True, metavar="x,y,z")
-    p.add_argument("--samples", type=count, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_at_least(1), default=1000)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_shift)
 
@@ -343,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="timing statistics for one scene")
     p.add_argument("scene")
-    p.add_argument("--reps", type=count, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--reps", type=_at_least(1), default=100)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_bench)
     return parser

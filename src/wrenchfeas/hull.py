@@ -6,7 +6,8 @@ an affine subspace is hulled inside that subspace, and the result combines
 facet inequalities (sense ``normal . p >= offset``) with the equalities that
 pin the subspace.  Together they describe the hull exactly in the ambient
 space, which downstream code needs because single-contact and symmetric
-scenes genuinely produce flat point clouds.
+scenes genuinely produce flat point clouds.  Facet rows are qhull's own
+hyperplanes, deduplicated exactly: no tolerance decides which facets merge.
 """
 
 import math
@@ -18,7 +19,6 @@ from scipy.spatial import ConvexHull, QhullError
 from .errors import DegenerateInput, HullFailure
 
 RANK_TOL = 1e-9
-MERGE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,10 @@ def convex_hull(points) -> HullResult:
 
     Rank-deficient clouds are projected onto their affine hull, hulled there,
     and lifted back; the orthogonal directions become equalities.  A cloud of
-    coincident points is a valid dimension-zero hull, not an error.  Nearly
-    identical facets are merged (``MERGE_TOL`` on the normal, with the offset
-    tolerance relative to the cloud diameter) so numerical duplicates do not
-    inflate the description: the rows are sorted by a fixed projection and
-    each is compared only with its neighbours inside the window the
-    tolerance allows, and a row goes when an earlier one matches it.
+    coincident points is a valid dimension-zero hull, not an error.  qhull
+    triangulates its output (scipy always passes ``Qt``), so a facet arrives
+    once per simplex, each copy carrying the facet's hyperplane bit for bit;
+    exact duplicates are dropped, keeping each row's first occurrence.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
@@ -116,8 +114,15 @@ def convex_hull(points) -> HullResult:
             raise HullFailure(f"qhull failed on projected cloud: {exc}") from exc
         # qhull rows satisfy normal . y + off <= 0 inside; flip to >= sense.
         sub = hull.equations * np.append(-np.ones(rank), 1.0)
-        diameter = float(np.linalg.norm(projected.max(axis=0) - projected.min(axis=0)))
-        sub = _merge_duplicates(sub, diameter)
+        # Drop copies before the lift below: there, BLAS may round two copies
+        # of one row differently.  A stable sort keeps each first occurrence
+        # at the head of its run of equal rows.
+        order = np.lexsort(sub.T)
+        ranked = sub[order]
+        head = np.append(True, np.any(ranked[1:] != ranked[:-1], axis=1))
+        keep = np.zeros(len(sub), dtype=bool)
+        keep[order[head]] = True
+        sub = sub[keep]
 
     normals = sub[:, :-1] @ basis
     norms = np.linalg.norm(normals, axis=1)
@@ -125,34 +130,3 @@ def convex_hull(points) -> HullResult:
     facets = np.column_stack([normals, sub[:, -1] / norms + normals @ centroid])
     facets = facets[np.lexsort(np.round(facets, 12).T[::-1])]
     return HullResult(facets, equalities, rank, dim)
-
-
-def _merge_duplicates(rows: np.ndarray, diameter: float) -> np.ndarray:
-    # scipy always runs qhull with Qt, so each hyperplane arrives once per
-    # simplex of its triangulated facet.  Two rows within ``tol`` column by
-    # column project onto the nonnegative ``weights`` at most ``weights @ tol``
-    # apart, plus a few ulps of rounding.  So after sorting by that projection
-    # each row is compared only with the later rows inside that window: one
-    # vectorized pass per offset k, ending at the first k with no pair inside
-    # it.  A row goes when an earlier row in sorted order matches it, which
-    # makes the kept set independent of the input order; survivors keep their
-    # input order.  Rows are not rounded to a grid, since rounding splits
-    # near-ties, and unequal weights keep mirrored normals apart.
-    tol = np.full(rows.shape[1], MERGE_TOL)
-    tol[-1] = MERGE_TOL * (1.0 + diameter)
-    weights = np.sqrt(np.arange(2.0, rows.shape[1] + 2.0))
-    projected = rows @ weights
-    order = np.argsort(projected, kind="stable")
-    rows_sorted, projected = rows[order], projected[order]
-    scale = float(np.abs(rows).max()) * weights.sum()
-    window = tol @ weights + 4 * len(weights) * np.finfo(float).eps * scale
-    dropped = np.zeros(len(rows), dtype=bool)
-    for k in range(1, len(rows)):
-        near = np.flatnonzero(projected[k:] - projected[:-k] <= window)
-        if near.size == 0:
-            break
-        same = np.all(np.abs(rows_sorted[near + k] - rows_sorted[near]) <= tol, axis=1)
-        dropped[near[same] + k] = True
-    keep = np.ones(len(rows), dtype=bool)
-    keep[order[dropped]] = False
-    return rows[keep]

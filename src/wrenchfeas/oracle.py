@@ -19,6 +19,9 @@ from .errors import LpFailure
 from .simplex import solve
 
 MEMBERSHIP_TOL = 1e-9
+# Relative width of the boundary band in which a constraint-matrix verdict and
+# a membership verdict may differ: |margin| <= BOUNDARY_BAND * (1 + |w|).
+BOUNDARY_BAND = 1e-7
 
 
 @dataclass(frozen=True)
@@ -55,8 +58,8 @@ class AgreementReport:
     """Tally of verdict agreement between a constraint matrix and this module.
 
     A sample counts as ``boundary_excluded`` when the two routes disagree but
-    the sample sits within the stated relative band of the constraint-matrix
-    boundary, where the two tolerance models are allowed to differ.
+    the sample sits within ``BOUNDARY_BAND`` of the constraint-matrix boundary,
+    where the two tolerance models are allowed to differ.
     """
 
     agree_feasible: int
@@ -80,7 +83,6 @@ def compare_wcm_oracle(
     wcm,
     n_samples: int,
     rng_seed: int,
-    band: float = 1e-7,
 ) -> AgreementReport:
     """Compare constraint-matrix verdicts against membership ground truth.
 
@@ -117,7 +119,7 @@ def compare_wcm_oracle(
                 agree_feasible += 1
             else:
                 agree_infeasible += 1
-        elif abs(margin) <= band * scale:
+        elif abs(margin) <= BOUNDARY_BAND * scale:
             excluded += 1
         else:
             disagree += 1

@@ -28,6 +28,7 @@ momentum rate unspecified.  All validation errors name the offending field.
 """
 
 import json
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -103,40 +104,27 @@ def _require(mapping, key, where):
 
 
 def _number(value, where, positive=False):
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise SceneFormatError(f"{where} must be a number") from None
-    if not np.isfinite(x):
+    # A JSON number: bool is an int subclass, and float() would parse "60".
+    # abs(x) <= max fails for inf, nan and ints too large to be a float.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SceneFormatError(f"{where} must be a number")
+    if not abs(value) <= sys.float_info.max:
         raise SceneFormatError(f"{where} must be finite")
-    if positive and x <= 0.0:
+    if positive and value <= 0:
         raise SceneFormatError(f"{where} must be positive")
-    return x
+    return float(value)
 
 
 def _vector(value, length, where):
-    try:
-        v = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise SceneFormatError(f"{where} must be an array of numbers") from None
-    if v.shape != (length,):
-        raise SceneFormatError(f"{where} must have {length} entries")
-    if not np.all(np.isfinite(v)):
-        raise SceneFormatError(f"{where} must be finite")
-    return v
+    if not isinstance(value, (list, tuple)) or len(value) != length:
+        raise SceneFormatError(f"{where} must be an array of {length} numbers")
+    return np.array([_number(x, f"{where}[{i}]") for i, x in enumerate(value)])
 
 
 def scene_from_dict(data, where: str = "scene") -> Scene:
     if not isinstance(data, dict):
         raise SceneFormatError(f"{where} must be a JSON object")
-    mass = _require(data, "mass", where)
-    if (
-        isinstance(mass, bool)
-        or not isinstance(mass, (int, float))
-        or not np.isfinite(mass)
-        or mass <= 0
-    ):
-        raise SceneFormatError("mass must be positive")
+    mass = _number(_require(data, "mass", where), f"{where}.mass", positive=True)
     gravity = _vector(_require(data, "gravity", where), 3, f"{where}.gravity")
     com = _vector(_require(data, "com", where), 3, f"{where}.com")
     raw_contacts = _require(data, "contacts", where)
@@ -170,7 +158,7 @@ def scene_from_dict(data, where: str = "scene") -> Scene:
             contacts.append(Contact(point, rotation, FrictionCone(mu, sides)))
         except ValueError as exc:
             raise SceneFormatError(f"{loc}: {exc}") from None
-    return Scene(RigidBodyParams(float(mass), gravity), com, ContactConfiguration(tuple(contacts)))
+    return Scene(RigidBodyParams(mass, gravity), com, ContactConfiguration(tuple(contacts)))
 
 
 def scene_to_dict(scene: Scene) -> dict:

@@ -122,8 +122,21 @@ class TestCheck:
         ["shift", "flat_foot", "--delta", "inf,0,0"],
         ["bench", "flat_foot", "--reps", "0"],
         ["shift", "flat_foot", "--delta", "0,0,0", "--samples", "-3"],
+        ["check", "flat_foot", "--accel", "1e308,0,0"],
+        ["shift", "flat_foot", "--samples", "2", "--delta", "1e200,0,0"],
+        ["bench", "flat_foot", "--reps", "1", "--seed", "-1"],
+        ["shift", "flat_foot", "--delta", "0,0,0", "--samples", "2", "--seed", "-1"],
     ],
-    ids=["nan-accel", "inf-delta", "zero-reps", "negative-samples"],
+    ids=[
+        "nan-accel",
+        "inf-delta",
+        "zero-reps",
+        "negative-samples",
+        "overflowing-force",
+        "overflowing-sample-wrench",
+        "negative-bench-seed",
+        "negative-shift-seed",
+    ],
 )
 def test_out_of_range_flag_is_an_input_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -20,12 +20,15 @@ from wrenchfeas import (
 )
 from wrenchfeas import hull
 from wrenchfeas.errors import DegenerateInput
-from wrenchfeas.hull import MERGE_TOL
 from wrenchfeas.scenes import rotation_from_normal
 from wrenchfeas.wcm import modified_generators
 
 from conftest import random_config
 from wrenchfeas import build_generating_matrices
+
+# Two facet rows this close in every column (the offset relative to the cloud
+# diameter) describe one hyperplane.
+MERGE_TOL = 1e-9
 
 
 def lp_inside(points, query, tol=1e-9):
@@ -290,9 +293,9 @@ def test_hull_properties(pts, data):
 
 
 def greedy_merge(rows, diameter):
-    """Brute-force reference for ``hull._merge_duplicates``: keep each row
-    not yet removed, in input order, and remove every row within tolerance
-    of it."""
+    """Tolerance reference for the facet dedup: keep each row not yet
+    removed, in input order, and remove every row within ``MERGE_TOL`` of
+    it."""
     offset_tol = MERGE_TOL * (1.0 + diameter)
     removed = np.zeros(len(rows), dtype=bool)
     kept = []
@@ -305,84 +308,47 @@ def greedy_merge(rows, diameter):
     return rows[kept]
 
 
-def as_row_set(rows):
-    return rows[np.lexsort(rows.T[::-1])]
+def greedy_facets(pts):
+    """qhull's raw rows for ``pts``, in the frame ``convex_hull`` hulls in,
+    and the facets ``convex_hull`` would return if ``greedy_merge`` chose
+    the rows it keeps (lifted and sorted as it does)."""
+    rank, basis, _, centroid = hull._affine_split(pts)
+    projected = (pts - centroid) @ basis.T
+    raw = ConvexHull(projected).equations * np.append(-np.ones(rank), 1.0)
+    diameter = float(np.linalg.norm(projected.max(axis=0) - projected.min(axis=0)))
+    sub = greedy_merge(raw, diameter)
+    normals = sub[:, :-1] @ basis
+    norms = np.linalg.norm(normals, axis=1)
+    normals /= norms[:, None]
+    facets = np.column_stack([normals, sub[:, -1] / norms + normals @ centroid])
+    return raw, facets[np.lexsort(np.round(facets, 12).T[::-1])]
 
 
-@st.composite
-def near_tie_clusters(draw):
-    """Rows ``[unit normal | offset]`` in 3-7 columns, 1-4 jittered copies
-    per hyperplane, shuffled.  Some hyperplanes sit on a 1e-6 rounding
-    boundary, some 3 tolerances from the previous one in a single column.
-    Returns the rows, the hyperplane label of each row and the diameter."""
-    ncols = draw(st.integers(3, 7))
-    copies = draw(st.lists(st.integers(1, 4), min_size=1, max_size=12))
-    kinds = draw(
-        st.lists(
-            st.sampled_from(["generic", "boundary", "neighbour"]),
-            min_size=len(copies),
-            max_size=len(copies),
+def stance_cloud(config, com):
+    """The 5-D cloud ``build_wcm`` hulls for a constrained stance."""
+    cls = classify(config, com)
+    assert cls.constrained
+    mod = modified_generators(cls.generating, cls.witness)
+    return np.vstack([mod.force_generators[:2], mod.moment_generators]).T
+
+
+def floor_stance(rng, n, sides, mu):
+    """``n`` floor contacts with slightly tilted normals and spun pyramids:
+    constrained for every mu, since +z lies in every dual cone."""
+    contacts = []
+    for _ in range(n):
+        point = [rng.uniform(-0.2, 0.2), rng.uniform(-0.15, 0.15), 0.0]
+        normal = np.array([0.0, 0.0, 1.0]) + rng.normal(size=3) * 0.1
+        th = rng.uniform(0.0, 2.0 * np.pi)
+        spin = np.array(
+            [[np.cos(th), -np.sin(th), 0.0], [np.sin(th), np.cos(th), 0.0], [0.0, 0.0, 1.0]]
         )
-    )
-    diameter = draw(st.floats(0.0, 20.0))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    tol = np.full(ncols, MERGE_TOL)
-    tol[-1] = MERGE_TOL * (1.0 + diameter)
-    centers = []
-    for kind in kinds:
-        if kind == "neighbour" and centers:
-            # A distinct hyperplane whose projection can fall inside the
-            # dedup window of the previous one.  Always stepping up keeps a
-            # chain of neighbours apart.
-            center = centers[-1].copy()
-            column = rng.integers(ncols)
-            center[column] += 3.0 * tol[column]
-            centers.append(center)
-            continue
-        while True:
-            normal = rng.normal(size=ncols - 1)
-            offset = rng.uniform(-1, 1) * diameter
-            center = np.append(normal / np.linalg.norm(normal), offset)
-            if kind == "boundary":
-                # Halfway between two multiples of 1e-6: rounding would
-                # split the copies of this hyperplane.
-                center = (np.floor(center * 1e6) + 0.5) / 1e6
-            if all(np.abs(center - c).max() > 1e-6 for c in centers):
-                break
-        centers.append(center)
-    rows = np.vstack(
-        [
-            centers[label] + rng.uniform(-1, 1, size=(count, ncols)) * tol / 3
-            for label, count in enumerate(copies)
-        ]
-    )
-    labels = np.repeat(np.arange(len(copies)), copies)
-    order = draw(st.permutations(range(len(rows))))
-    return rows[order], labels[order], diameter
+        rotation = rotation_from_normal(normal) @ spin
+        contacts.append(Contact(point, rotation, FrictionCone(mu, sides)))
+    return ContactConfiguration(tuple(contacts))
 
 
-@settings(max_examples=300, deadline=None)
-@given(near_tie_clusters(), st.data())
-def test_merge_keeps_one_row_per_hyperplane(clusters, data):
-    rows, labels, diameter = clusters
-    merged = hull._merge_duplicates(rows, diameter)
-
-    kept = [int(np.flatnonzero((rows == row).all(axis=1))[0]) for row in merged]
-    assert kept == sorted(kept)  # survivors keep their input order
-    assert sorted(labels[kept]) == list(range(labels.max() + 1))
-
-    tol = np.full(rows.shape[1], MERGE_TOL)
-    tol[-1] = MERGE_TOL * (1.0 + diameter)
-    within = (np.abs(merged[:, None, :] - merged[None, :, :]) <= tol).all(axis=2)
-    np.fill_diagonal(within, False)
-    assert not within.any()
-
-    order = np.array(data.draw(st.permutations(range(len(rows)))))
-    permuted = hull._merge_duplicates(rows[order], diameter)
-    assert np.array_equal(as_row_set(permuted), as_row_set(merged))
-
-
-def test_merge_matches_greedy_on_sixteen_contact_stance(monkeypatch):
+def test_merge_matches_greedy_on_sixteen_contact_stance():
     # Sixteen floor contacts with eight-sided pyramids and tilted normals:
     # the largest stance shape, with over a thousand raw qhull facets.
     rng = np.random.default_rng(16)
@@ -392,23 +358,29 @@ def test_merge_matches_greedy_on_sixteen_contact_stance(monkeypatch):
         normal = np.array([0.0, 0.0, 1.0]) + rng.normal(size=3) * 0.1
         cone = FrictionCone(0.5, 8)
         contacts.append(Contact(point, rotation_from_normal(normal), cone))
-    config = ContactConfiguration(tuple(contacts))
-    com = [0.0, 0.0, 0.8]
-    cls = classify(config, com)
-    assert cls.constrained
-    mod = modified_generators(cls.generating, cls.witness)
-    pts = np.vstack([mod.force_generators[:2], mod.moment_generators]).T
+    pts = stance_cloud(ContactConfiguration(tuple(contacts)), [0.0, 0.0, 0.8])
+    raw, expected = greedy_facets(pts)
+    assert len(raw) > 1000 and len(expected) < len(raw)
+    assert np.array_equal(convex_hull(pts).facets, expected)
 
-    calls = []
-    merge = hull._merge_duplicates
 
-    def recording_merge(rows, diameter):
-        calls.append((rows, diameter))
-        return merge(rows, diameter)
-
-    monkeypatch.setattr(hull, "_merge_duplicates", recording_merge)
-    convex_hull(pts)
-    (rows, diameter), = calls
-    merged = merge(rows, diameter)
-    assert len(rows) > 1000 and len(merged) < len(rows)
-    assert np.array_equal(merged, greedy_merge(rows, diameter))
+def test_merge_matches_greedy_on_seeded_stances():
+    # qhull with Qt gives every simplex of a facet that facet's hyperplane
+    # bit for bit, so exact dedup keeps what the tolerance merge keeps.  A
+    # qhull that stopped copying hyperplanes exactly would fail here.  One to
+    # ten contacts keep the quadratic reference quick; the test above covers
+    # sixteen.
+    rng = np.random.default_rng(2016)
+    hulled = merged = 0
+    for k in range(240):
+        mu = (0.0, 0.3, 0.5, 0.8)[k % 4]
+        config = floor_stance(rng, int(rng.integers(1, 11)), int(rng.integers(3, 9)), mu)
+        com = rng.uniform([-0.05, -0.05, 0.7], [0.05, 0.05, 0.9])
+        pts = stance_cloud(config, com)
+        if hull._affine_split(pts)[0] < 2:
+            continue  # no qhull call, nothing to dedup
+        raw, expected = greedy_facets(pts)
+        assert np.array_equal(convex_hull(pts).facets, expected), k
+        hulled += 1
+        merged += len(expected) < len(raw)
+    assert hulled >= 200 and merged >= 150

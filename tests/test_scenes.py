@@ -117,6 +117,13 @@ class TestSceneParsing:
                 lambda d: d["contacts"][0].update(mu="high"),
                 "contacts[0].mu",
             ),
+            (lambda d: d["contacts"][0].update(mu=True), "contacts[0].mu must be"),
+            (
+                lambda d: d["contacts"][0].update(mu="0.8"),
+                "contacts[0].mu must be a number",
+            ),
+            (lambda d: d.update(com=["0", "0", "0.8"]), "com[0]"),
+            (lambda d: d.update(com=[True, 0, 0.8]), "com[0] must be a number"),
         ],
     )
     def test_errors_name_the_field(self, mutate, needle):
