@@ -81,8 +81,8 @@ def _resolve(path_arg: str) -> Path:
 
 
 def _emit(report: dict):
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # One write: json.dump would stream a few hundred small ones.
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
 
 
 def _write_csv(path: str, header, rows):
@@ -159,9 +159,7 @@ def cmd_shift(args) -> int:
         return 1
     shifted, t_shift = _timed(lambda: shift_wcm(original, args.delta))
     target_com = scene.com + args.delta
-    rebuilt, t_rebuild = _timed(
-        lambda: build_wcm(scene.config, target_com, cls.witness)
-    )
+    rebuilt, t_rebuild = _timed(lambda: build_wcm(scene.config, target_com, cls.witness))
 
     rng = np.random.default_rng(args.seed)
     stacked = build_generating_matrices(scene.config, target_com).stacked()
@@ -200,11 +198,8 @@ def cmd_shift(args) -> int:
     }
     _emit(report)
     if args.csv:
-        _write_csv(
-            args.csv,
-            ["operation", "time_ms"],
-            [["shift", 1e3 * t_shift], ["rebuild", 1e3 * t_rebuild]],
-        )
+        rows = [["shift", 1e3 * t_shift], ["rebuild", 1e3 * t_rebuild]]
+        _write_csv(args.csv, ["operation", "time_ms"], rows)
     return 0
 
 
@@ -219,18 +214,18 @@ def cmd_scenario(args) -> int:
         shift_times = []
         for sample in phase.samples:
             # Re-anchor at the sample CoM what the answer reads: W when it
-            # exists, else the classification's generators.
+            # exists, else the classification's generators if the moment is
+            # pinned (a free moment needs neither).
+            query = sample.query()
             here, moved = cls, None
-            if wcm is None:
+            if wcm is not None:
+                moved, t_move = _timed(lambda: shift_wcm(wcm, sample.com - wcm.anchor))
+                shift_times.append(t_move)
+            elif query.angular_momentum_rate is not None:
                 gen = build_generating_matrices(scene.config, sample.com)
                 here = dataclasses.replace(cls, generating=gen)
-            else:
-                moved, t_move = _timed(
-                    lambda: shift_wcm(wcm, sample.com - wcm.anchor)
-                )
-                shift_times.append(t_move)
             feasible, margin = acceleration_verdict(
-                here, moved, scene.body, sample.query(), sample.com
+                here, moved, scene.body, query, sample.com
             )
             all_feasible &= feasible
             timeline.append(
@@ -313,14 +308,8 @@ def cmd_bench(args) -> int:
         }
     )
     if args.csv:
-        _write_csv(
-            args.csv,
-            ["operation", "median_ms", "mean_ms", "p95_ms"],
-            [
-                [op, s["median_ms"], s["mean_ms"], s["p95_ms"]]
-                for op, s in stats.items()
-            ],
-        )
+        rows = [[op, *s.values()] for op, s in stats.items()]
+        _write_csv(args.csv, ["operation", "median_ms", "mean_ms", "p95_ms"], rows)
     return 0
 
 

@@ -14,6 +14,7 @@ All types are immutable after construction (arrays are marked read-only) and
 all operations are pure functions, so concurrent reads are safe.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -55,6 +56,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _unchecked(cls, **fields):
+    """A ``cls`` from fields the caller has already validated (read-only
+    finite arrays); skips the copies and checks of ``__init__``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class Wrench:
     """A force/moment pair together with the point the moment is taken about."""
@@ -67,14 +76,6 @@ class Wrench:
         object.__setattr__(self, "force", _as_vec3(self.force, "force"))
         object.__setattr__(self, "moment", _as_vec3(self.moment, "moment"))
         object.__setattr__(self, "about", _as_vec3(self.about, "about"))
-
-    @classmethod
-    def _validated(cls, force, moment, about) -> "Wrench":
-        """A wrench from read-only finite 3-vectors the caller has already
-        checked; skips the copies and checks of ``__init__``."""
-        wrench = object.__new__(cls)
-        wrench.__dict__.update(force=force, moment=moment, about=about)
-        return wrench
 
     def as_array(self) -> np.ndarray:
         """Stacked 6-vector [force; moment]."""
@@ -114,11 +115,18 @@ class Contact:
         r = np.array(self.rotation, dtype=float)
         if r.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got shape {r.shape}")
-        if not np.all(np.isfinite(r)):
+        # Scalar checks on the nine entries cost less than numpy's on a 3x3.
+        (a, b, c), (d, e, f), (g, h, i) = rows = r.tolist()
+        if not all(map(math.isfinite, rows[0] + rows[1] + rows[2])):
             raise ValueError("rotation must have finite entries")
-        if np.max(np.abs(r.T @ r - np.eye(3))) > ORTHONORMAL_TOL:
+        # The six distinct entries of r^T r - I, diagonal first: those are
+        # never NaN, and +inf whenever an off-diagonal product overflows.
+        gram = (a * a + d * d + g * g - 1.0, b * b + e * e + h * h - 1.0,
+                c * c + f * f + i * i - 1.0, a * b + d * e + g * h,
+                a * c + d * f + g * i, b * c + e * f + h * i)
+        if max(map(abs, gram)) > ORTHONORMAL_TOL:
             raise ValueError("rotation must be orthonormal")
-        if np.linalg.det(r) < 0.0:
+        if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) < 0.0:
             raise ValueError("rotation must have determinant +1")
         object.__setattr__(self, "rotation", _freeze(r))
 
@@ -149,26 +157,28 @@ class ContactConfiguration:
             raise ValueError("a contact configuration needs at least one contact")
         points = np.array([c.point for c in contacts])
         rotations = np.array([c.rotation for c in contacts])
-        keys = np.hstack([points, rotations.reshape(-1, 9)])
-        same = (keys[:, None, :] == keys[None, :, :]).all(axis=2)
-        for i in np.nonzero(np.tril(same, -1))[0]:  # one warning per earlier twin
-            warnings.warn(
-                f"duplicate contact at index {i}: same point and rotation "
-                "(redundant, not invalid)",
-                stacklevel=2,
-            )
+        # Float keys compare as == does: -0.0 and 0.0 are the same key.
+        earlier = {}
+        for i, (p, r) in enumerate(zip(points.tolist(), rotations.reshape(-1, 9).tolist())):
+            key = tuple(p + r)
+            for _ in range(earlier.get(key, 0)):  # one warning per earlier twin
+                warnings.warn(
+                    f"duplicate contact at index {i}: same point and rotation "
+                    "(redundant, not invalid)",
+                    stacklevel=2,
+                )
+            earlier[key] = earlier.get(key, 0) + 1
         object.__setattr__(self, "contacts", contacts)
 
-        # Column k is edge j[k] (0-based) of contact owner[k], rotated into
-        # the world frame.
-        sides = np.array([c.cone.sides for c in contacts])
-        mu = np.array([c.cone.mu for c in contacts], dtype=float)
-        owner = np.repeat(np.arange(len(contacts)), sides)
-        j = np.arange(owner.size) - (np.cumsum(sides) - sides)[owner]
-        local = _pyramid_edges(mu[owner], sides[owner], j)
-        edges = np.einsum("kij,jk->ik", rotations[owner], local, order="C")
+        # Contact by contact, its pyramid's edges rotated into the world frame.
+        cones = [c.cone for c in contacts]
+        sides = [cone.sides for cone in cones]
+        local = np.hstack([_cone_edges(cone) for cone in cones])
+        owners = np.repeat(rotations, sides, axis=0)
+        edges = np.einsum("kij,jk->ik", owners, local, order="C")
         object.__setattr__(self, "edges", _freeze(edges))
-        object.__setattr__(self, "column_points", _freeze(points[owner].T.copy()))
+        column_points = np.repeat(points, sides, axis=0).T.copy()
+        object.__setattr__(self, "column_points", _freeze(column_points))
 
     def __len__(self) -> int:
         return len(self.contacts)
@@ -254,18 +264,18 @@ def cone_generators(cone: FrictionCone) -> np.ndarray:
     ``[mu*cos(2*pi*(i - 1/2)/m), mu*sin(2*pi*(i - 1/2)/m), 1]``.  The normal
     component is set to exactly 1.0; later normalization stages rely on that.
     """
-    return _pyramid_edges(cone.mu, cone.sides, np.arange(cone.sides))
-
-
-def _pyramid_edges(mu, sides, j) -> np.ndarray:
-    """Contact-frame edges as columns: edge ``j`` (0-based) of a pyramid with
-    friction ``mu`` and ``sides`` sides.  The arguments broadcast."""
-    ang = 2.0 * np.pi * (j + 0.5) / sides
-    u = np.empty((3, ang.size))
-    u[0] = mu * np.cos(ang)
-    u[1] = mu * np.sin(ang)
+    ang = 2.0 * np.pi * (np.arange(cone.sides) + 0.5) / cone.sides
+    u = np.empty((3, cone.sides))
+    u[0] = cone.mu * np.cos(ang)
+    u[1] = cone.mu * np.sin(ang)
     u[2] = 1.0
     return u
+
+
+@functools.lru_cache(maxsize=256)
+def _cone_edges(cone: FrictionCone) -> np.ndarray:
+    """``cone_generators``, computed once per distinct cone; read-only."""
+    return _freeze(cone_generators(cone))
 
 
 def skew(r) -> np.ndarray:
@@ -309,7 +319,7 @@ def required_wrench(body: RigidBodyParams, query: MotionQuery, com) -> Wrench:
     force = _freeze_finite(body.mass * (query.com_accel - body.gravity), "force")
     l_dot = query.angular_momentum_rate
     moment = _ZERO3 if l_dot is None else l_dot
-    return Wrench._validated(force, moment, com)
+    return _unchecked(Wrench, force=force, moment=moment, about=com)
 
 
 def rotation_aligning_z(v) -> np.ndarray:

@@ -24,12 +24,15 @@ trajectory::
                                      "l_dot": [...]}, ...]}]}
 
 ``l_dot`` may be omitted from a trajectory sample to leave the angular
-momentum rate unspecified.  All validation errors name the offending field.
+momentum rate unspecified.  A sample's force, ``mass * (accel - gravity)``,
+must be finite; an overflow is an error naming the sample's ``accel``.  All
+validation errors name the offending field.
 """
 
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -41,6 +44,7 @@ from .contacts import (
     FrictionCone,
     MotionQuery,
     RigidBodyParams,
+    _unchecked,
 )
 from .errors import SceneFormatError
 
@@ -58,9 +62,11 @@ class TrajectorySample:
     com: np.ndarray
     accel: np.ndarray
     l_dot: np.ndarray | None = None
+    _query: MotionQuery | None = field(default=None, init=False, repr=False, compare=False)
 
     def query(self) -> MotionQuery:
-        return MotionQuery(self.accel, self.l_dot)
+        # Built once at ingestion; a sample made by hand is validated per call.
+        return self._query or MotionQuery(self.accel, self.l_dot)
 
 
 @dataclass(frozen=True)
@@ -79,22 +85,23 @@ def rotation_from_normal(normal) -> np.ndarray:
     """Complete a surface normal to a full contact rotation.
 
     The local x-axis is the world x-axis projected onto the tangent plane,
-    falling back to world y when the normal is within 1e-6 of +/-x; this
+    falling back to world y when the normal is within 1e-3 of +/-x; this
     fixes the pyramid edge orientation so scenes rebuild identically.
     """
     n = np.asarray(normal, dtype=float)
-    norm = np.linalg.norm(n)
+    norm = math.sqrt(n.dot(n))  # np.linalg.norm's formula, without its overhead
     if norm <= 1e-12:
         raise ValueError("normal must be a nonzero vector")
     n = n / norm
-    x_axis = np.array([1.0, 0.0, 0.0])
-    if min(np.linalg.norm(n - x_axis), np.linalg.norm(n + x_axis)) < 1e-6:
-        reference = np.array([0.0, 1.0, 0.0])
-    else:
-        reference = x_axis
+    # |n -/+ x|^2 = 2 - 2|n_x|: nearer +/-x, projecting x cancels too many digits.
+    near_x = 1.0 - abs(n[0]) < 5e-7
+    reference = np.array([0.0, 1.0, 0.0] if near_x else [1.0, 0.0, 0.0])
     tangent = reference - (reference @ n) * n
-    tangent /= np.linalg.norm(tangent)
-    return np.column_stack([tangent, np.cross(n, tangent), n])
+    tangent /= math.sqrt(tangent.dot(tangent))
+    # Columns tangent, n x tangent (np.cross's products, on floats) and n.
+    (t0, t1, t2), (n0, n1, n2) = tangent.tolist(), n.tolist()
+    b0, b1, b2 = n1 * t2 - n2 * t1, n2 * t0 - n0 * t2, n0 * t1 - n1 * t0
+    return np.array([[t0, b0, n0], [t1, b1, n1], [t2, b2, n2]])
 
 
 def _require(mapping, key, where):
@@ -115,18 +122,22 @@ def _number(value, where, positive=False):
     return float(value)
 
 
-def _vector(value, length, where):
+def _numbers(value, length, where):
+    # ``value`` itself, once checked; a failing element raises _number's message.
     if not isinstance(value, (list, tuple)) or len(value) != length:
         raise SceneFormatError(f"{where} must be an array of {length} numbers")
-    return np.array([_number(x, f"{where}[{i}]") for i, x in enumerate(value)])
+    for i, x in enumerate(value):
+        if not ((type(x) is float or type(x) is int) and abs(x) <= sys.float_info.max):
+            _number(x, f"{where}[{i}]")
+    return value
 
 
 def scene_from_dict(data, where: str = "scene") -> Scene:
     if not isinstance(data, dict):
         raise SceneFormatError(f"{where} must be a JSON object")
     mass = _number(_require(data, "mass", where), f"{where}.mass", positive=True)
-    gravity = _vector(_require(data, "gravity", where), 3, f"{where}.gravity")
-    com = _vector(_require(data, "com", where), 3, f"{where}.com")
+    gravity = _numbers(_require(data, "gravity", where), 3, f"{where}.gravity")
+    com = np.array(_numbers(_require(data, "com", where), 3, f"{where}.com"), dtype=float)
     raw_contacts = _require(data, "contacts", where)
     if not isinstance(raw_contacts, list) or not raw_contacts:
         raise SceneFormatError(f"{where}.contacts must be a nonempty array")
@@ -135,7 +146,7 @@ def scene_from_dict(data, where: str = "scene") -> Scene:
         loc = f"{where}.contacts[{i}]"
         if not isinstance(item, dict):
             raise SceneFormatError(f"{loc} must be a JSON object")
-        point = _vector(_require(item, "point", loc), 3, f"{loc}.point")
+        point = _numbers(_require(item, "point", loc), 3, f"{loc}.point")
         has_normal = "normal" in item
         has_rotation = "rotation" in item
         if has_normal == has_rotation:
@@ -143,13 +154,14 @@ def scene_from_dict(data, where: str = "scene") -> Scene:
                 f"{loc}: exactly one of 'normal' and 'rotation' is required"
             )
         if has_normal:
-            normal = _vector(item["normal"], 3, f"{loc}.normal")
+            normal = _numbers(item["normal"], 3, f"{loc}.normal")
             try:
                 rotation = rotation_from_normal(normal)
             except ValueError as exc:
                 raise SceneFormatError(f"{loc}.normal: {exc}") from None
         else:
-            rotation = _vector(item["rotation"], 9, f"{loc}.rotation").reshape(3, 3)
+            r = _numbers(item["rotation"], 9, f"{loc}.rotation")
+            rotation = [r[0:3], r[3:6], r[6:9]]
         mu = _number(_require(item, "mu", loc), f"{loc}.mu")
         sides = _require(item, "sides", loc)
         if not isinstance(sides, int) or isinstance(sides, bool):
@@ -213,28 +225,38 @@ def scenario_from_dict(data, base_dir: Path, where: str = "scenario") -> Scenari
         else:
             scene = scene_from_dict(raw_scene, where=f"{loc}.scene")
         raw_traj = _require(item, "com_trajectory", loc)
+        tloc = f"{loc}.com_trajectory"
         if not isinstance(raw_traj, list):
-            raise SceneFormatError(f"{loc}.com_trajectory must be an array")
-        samples = []
-        previous_t = None
+            raise SceneFormatError(f"{tloc} must be an array")
+        mass, gravity = scene.body.mass, scene.body.gravity.tolist()
+        times, rows, l_dots = [], [], []
         for k, entry in enumerate(raw_traj):
-            sloc = f"{loc}.com_trajectory[{k}]"
+            sloc = f"{tloc}[{k}]"
             if not isinstance(entry, dict):
                 raise SceneFormatError(f"{sloc} must be a JSON object")
             t = _number(_require(entry, "t", sloc), f"{sloc}.t")
-            if previous_t is not None and t <= previous_t:
-                raise SceneFormatError(
-                    f"{loc}.com_trajectory: times must be strictly increasing"
-                )
-            previous_t = t
-            com = _vector(_require(entry, "com", sloc), 3, f"{sloc}.com")
-            accel = _vector(_require(entry, "accel", sloc), 3, f"{sloc}.accel")
-            l_dot = (
-                _vector(entry["l_dot"], 3, f"{sloc}.l_dot")
-                if "l_dot" in entry
-                else None
+            if times and t <= times[-1]:
+                raise SceneFormatError(f"{tloc}: times must be strictly increasing")
+            times.append(t)
+            com = _numbers(_require(entry, "com", sloc), 3, f"{sloc}.com")
+            accel = _numbers(_require(entry, "accel", sloc), 3, f"{sloc}.accel")
+            # required_wrench's force, in the same float operations numpy does
+            if not all(math.isfinite(mass * (a - g)) for a, g in zip(accel, gravity)):
+                raise SceneFormatError(f"{sloc}.accel: force must have finite components")
+            has_l_dot = "l_dot" in entry
+            l_dot = _numbers(entry["l_dot"], 3, f"{sloc}.l_dot") if has_l_dot else None
+            rows.append([com, accel, l_dot or (0.0, 0.0, 0.0)])
+            l_dots.append(l_dot)
+        # One T x 3 x 3 array: com, accel and l_dot (zero when omitted) per sample.
+        block = np.array(rows, dtype=float).reshape(-1, 3, 3)
+        block.flags.writeable = False
+        samples = []
+        for t, (c, a, m), l_dot in zip(times, block, l_dots):
+            m = None if l_dot is None else m
+            query = _unchecked(MotionQuery, com_accel=a, angular_momentum_rate=m)
+            samples.append(
+                _unchecked(TrajectorySample, t=t, com=c, accel=a, l_dot=m, _query=query)
             )
-            samples.append(TrajectorySample(t, com, accel, l_dot))
         phases.append(ScenarioPhase(name, scene, tuple(samples)))
     return Scenario(tuple(phases))
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report structure, determinism."""
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -16,6 +17,7 @@ from wrenchfeas import (
     required_wrench,
     wrench_membership_lp,
 )
+from wrenchfeas import cli
 from wrenchfeas.cli import main
 from wrenchfeas.scenes import scene_from_dict
 
@@ -143,6 +145,26 @@ def test_out_of_range_flag_is_an_input_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert argv[-2] in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "flat_foot"],
+        ["analyze", "two_walls"],
+        ["check", "flat_foot", "--accel", "0.5,-1,2", "--ldot", "0,0.1,0"],
+        ["scenario", str(bundled_path("climbing_scenario"))],
+        ["scenario", str(bundled_path("traverse_scenario"))],
+    ],
+    ids=["analyze-constrained", "analyze-unconstrained", "check", "climbing", "traverse"],
+)
+def test_report_bytes_match_streamed_json_dump(capsys, argv):
+    # The report is written in one piece; the bytes must be what json.dump
+    # streams for the same report (floats round-trip through json exactly).
+    _, out, _ = run(capsys, *argv)
+    streamed = io.StringIO()
+    json.dump(json.loads(out), streamed, indent=2)
+    assert out == streamed.getvalue() + "\n"
 
 
 class TestShift:
@@ -282,6 +304,31 @@ class TestScenario:
             assert entry["margin"] is None
         else:
             assert entry["margin"] == pytest.approx(check["min_margin"], rel=1e-12, abs=1e-12)
+
+
+    def test_overflowing_sample_force_is_an_input_error(self, capsys, tmp_path):
+        raw = json.load(open(bundled_path("flat_foot")))
+        sample = {"t": 0, "com": [0, 0, 0.8], "accel": [1e308, 0, 0]}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(
+            {"phases": [{"name": "only", "scene": raw, "com_trajectory": [sample]}]}
+        ))
+        code, out, err = run(capsys, "scenario", str(path))
+        assert code == 2
+        assert out == ""
+        assert "overflow.json.phases[0].com_trajectory[0].accel" in err
+
+    def test_free_moment_samples_build_no_generators(self, capsys, monkeypatch):
+        # Every climbing sample leaves the moment free in an unconstrained
+        # phase: the verdict needs no generators at the sample CoM.
+        built = []
+        real = cli.build_generating_matrices
+        monkeypatch.setattr(
+            cli, "build_generating_matrices", lambda *a: built.append(a) or real(*a)
+        )
+        code, report, _ = run_json(capsys, "scenario", str(bundled_path("climbing_scenario")))
+        assert code == 0 and len(report["timeline"]) == 18
+        assert built == []
 
 
 class TestScenarioDeterminism:

@@ -20,7 +20,7 @@ from wrenchfeas import (
     required_wrench,
     rotation_aligning_z,
 )
-from wrenchfeas.contacts import skew
+from wrenchfeas.contacts import ORTHONORMAL_TOL, skew
 from wrenchfeas.errors import ZeroVector
 from wrenchfeas.scenes import rotation_from_normal
 
@@ -329,3 +329,131 @@ class TestValidation:
             c.point[0] = 1.0
         with pytest.raises(ValueError):
             c.rotation[0, 0] = 2.0
+
+
+def reference_rotation_error(rotation):
+    """Contact's rotation checks in their numpy form (finite entries, the
+    largest entry of |r^T r - I|, the sign of det): the message, or None."""
+    r = np.array(rotation, dtype=float)
+    if not np.all(np.isfinite(r)):
+        return "rotation must have finite entries"
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.max(np.abs(r.T @ r - np.eye(3))) > ORTHONORMAL_TOL:
+            return "rotation must be orthonormal"
+    if np.linalg.det(r) < 0.0:
+        return "rotation must have determinant +1"
+    return None
+
+
+def contact_rotation_error(rotation):
+    try:
+        Contact([0.0, 0.0, 0.0], rotation, FrictionCone(0.5, 4))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def reference_duplicate_warnings(contacts):
+    """The pairwise duplicate scan in numpy: for each pair of equal contacts
+    (point and rotation compared with ==), the later index, row by row."""
+    keys = np.array([np.concatenate([c.point, c.rotation.ravel()]) for c in contacts])
+    same = (keys[:, None, :] == keys[None, :, :]).all(axis=2)
+    return [f"duplicate contact at index {i}" for i in np.nonzero(np.tril(same, -1))[0]]
+
+
+class TestScalarValidation:
+    @pytest.mark.parametrize("scale", [0.0, 1e-11, 1e-9])
+    def test_rotation_check_matches_numpy(self, scale):
+        # Perturbations of 1e-11 stay well inside ORTHONORMAL_TOL and 1e-9
+        # well outside it, so rounding cannot decide the verdict.
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            q *= np.sign(np.linalg.det(q))
+            for r, proper in ((q, True), (-q, False)):
+                r = r + scale * rng.uniform(-1.0, 1.0, size=(3, 3))
+                expected = reference_rotation_error(r)
+                assert contact_rotation_error(r) == expected
+                if scale == 1e-9:
+                    assert expected == "rotation must be orthonormal"
+                else:
+                    assert (expected is None) == proper
+
+    @pytest.mark.parametrize(
+        "rotation",
+        [
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, np.nan]],
+            [[1.0, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, 1.0]],
+            [[1e200, 1e200, 0.0], [1e200, -1e200, 0.0], [0.0, 0.0, 1.0]],
+            [[1e200, 0.0, 0.0], [0.0, 1e-200, 0.0], [0.0, 0.0, 1.0]],
+            [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+            [[-0.0, -1.0, 0.0], [1.0, -0.0, 0.0], [0.0, 0.0, 1.0]],
+        ],
+        ids=["nan", "inf", "overflowing-products", "overflowing-square", "swap", "quarter-turn"],
+    )
+    def test_rotation_edge_cases_match_numpy(self, rotation):
+        assert contact_rotation_error(rotation) == reference_rotation_error(rotation)
+
+    def test_rotation_shape_checked(self):
+        assert contact_rotation_error(np.eye(2)) == "rotation must be 3x3, got shape (2, 2)"
+
+    @pytest.mark.parametrize(
+        "pattern,expected",
+        [
+            ("abaa", [2, 3, 3]),
+            ("aaab", [1, 2, 2]),
+            ("zazbz", [1, 2, 2, 4, 4, 4]),
+            ("bzab", [2, 3]),
+        ],
+    )
+    def test_duplicate_warnings_match_pairwise_reference(self, pattern, expected):
+        # "z" is "a" with -0.0 in place of some of its zeros: equal under ==.
+        negative_zero = np.eye(3)
+        negative_zero[0, 1] = negative_zero[2, 0] = -0.0
+        cone = FrictionCone(0.8, 4)
+        made = {
+            "a": Contact([0.0, 0.5, 0.0], np.eye(3), cone),
+            "z": Contact([-0.0, 0.5, -0.0], negative_zero, cone),
+            "b": Contact([0.0, 0.5, 0.0], rotation_from_normal([0, 0.1, 1]), cone),
+        }
+        contacts = tuple(made[k] for k in pattern)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            ContactConfiguration(contacts)
+        messages = [str(w.message).split(":")[0] for w in record]
+        assert messages == reference_duplicate_warnings(contacts)
+        assert messages == [f"duplicate contact at index {i}" for i in expected]
+        assert all(w.category is UserWarning for w in record)
+
+
+def reference_edges(contacts):
+    """World-frame edges computed over all columns at once, each column's
+    pyramid parameters gathered by its owning contact (no per-cone cache)."""
+    sides = np.array([c.cone.sides for c in contacts])
+    mu = np.array([c.cone.mu for c in contacts], dtype=float)
+    owner = np.repeat(np.arange(len(contacts)), sides)
+    j = np.arange(owner.size) - (np.cumsum(sides) - sides)[owner]
+    ang = 2.0 * np.pi * (j + 0.5) / sides[owner]
+    local = np.stack([mu[owner] * np.cos(ang), mu[owner] * np.sin(ang), np.ones(owner.size)])
+    rotations = np.array([c.rotation for c in contacts])
+    return np.einsum("kij,jk->ik", rotations[owner], local, order="C")
+
+
+def test_cached_cone_edges_are_bit_identical():
+    # Cones with mu = 0, 0.0 and -0.0 compare equal and share one cached
+    # entry; the world-frame edges must still match, bit for bit, those
+    # computed over all columns at once without a cache.
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        contacts = []
+        for _ in range(rng.integers(1, 9)):
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            mu = [0, 0.0, -0.0, 0.5, float(rng.uniform(0.0, 1.5))][rng.integers(5)]
+            cone = FrictionCone(mu, int(rng.integers(3, 9)))
+            contacts.append(Contact(rng.normal(size=3), q * np.sign(np.linalg.det(q)), cone))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            config = ContactConfiguration(tuple(contacts))
+        assert config.edges.tobytes() == reference_edges(contacts).tobytes()
+        points = np.repeat([c.point for c in contacts], [c.cone.sides for c in contacts], axis=0)
+        assert config.column_points.tobytes() == np.ascontiguousarray(points.T).tobytes()

@@ -1,15 +1,22 @@
 """Scene/scenario files: parsing, validation messages, bundled data."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from wrenchfeas import bundled_path, classify, load_scenario, load_scene
+from wrenchfeas import Contact, FrictionCone, bundled_path, classify, load_scenario, load_scene
 from wrenchfeas.errors import SceneFormatError
 from wrenchfeas.scenes import (
+    TrajectorySample,
+    _number,
+    _numbers,
     rotation_from_normal,
     scene_from_dict,
+    scenario_from_dict,
     scene_to_dict,
 )
 
@@ -61,6 +68,17 @@ class TestRotationFromNormal:
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError):
             rotation_from_normal([0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("offset", [1e-7, 1e-6, 1.1e-6, 1e-5, 9e-4, 1.1e-3, 1e-2])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_near_x_normals_give_valid_contacts(self, offset, sign):
+        # Projecting world x onto the tangent plane of a normal this close to
+        # +/-x cancels most digits; the rotation must still pass Contact's
+        # orthonormality check.
+        for normal in ([0.75 * sign, 0.75 * offset, 0.0], [sign, 0.0, -offset]):
+            r = rotation_from_normal(normal)
+            Contact([0.0, 0.0, 0.0], r, FrictionCone(0.5, 4))
+            assert np.allclose(r[:, 2], np.asarray(normal) / np.linalg.norm(normal))
 
 
 class TestSceneParsing:
@@ -265,3 +283,103 @@ class TestBundledData:
         assert [len(p.scene.config) for p in traverse.phases] == [
             8, 12, 10, 10, 12, 12,
         ]
+
+
+def reference_vector(value, length, where):
+    """The per-element validator: every element goes through _number."""
+    if not isinstance(value, (list, tuple)) or len(value) != length:
+        raise SceneFormatError(f"{where} must be an array of {length} numbers")
+    return np.array([_number(x, f"{where}[{i}]") for i, x in enumerate(value)])
+
+
+def vector_outcome(build, value, length):
+    try:
+        return "accepted", build(value, length, "scene.com").tobytes()
+    except SceneFormatError as exc:
+        return "rejected", str(exc)
+
+
+_json_element = st.one_of(
+    st.floats(),  # with nan, +/-inf, -0.0 and subnormals
+    st.integers(-(2**1100), 2**1100),  # also beyond the float range
+    st.sampled_from([2**1024 - 2**970, 2**1024 - 2**970 - 1, 2**63, 2**64 + 1]),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.floats(), max_size=3),
+    st.tuples(st.integers()),
+)
+
+
+@st.composite
+def json_vectors(draw):
+    length = draw(st.sampled_from([3, 9]))
+    value = draw(
+        st.one_of(
+            st.lists(_json_element, min_size=length, max_size=length),
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=length, max_size=length),
+            st.lists(_json_element, min_size=length, max_size=length).map(tuple),
+            st.lists(_json_element, max_size=10),
+            _json_element,
+            st.dictionaries(st.text(max_size=2), st.floats(), max_size=2),
+        )
+    )
+    return value, length
+
+
+@given(json_vectors())
+def test_vector_validation_matches_per_element_reference(drawn):
+    value, length = drawn
+    fast = vector_outcome(lambda *a: np.array(_numbers(*a), dtype=float), value, length)
+    assert fast == vector_outcome(reference_vector, value, length)
+
+
+class TestTrajectoryIngestion:
+    BASE = {"t": 0.0, "com": [0.0, 0.0, 0.8], "accel": [0.0, 0.0, 0.0]}
+
+    def scenario(self, *samples):
+        trajectory = [dict(self.BASE, t=0.1 * k, **extra) for k, extra in enumerate(samples)]
+        return {
+            "phases": [
+                {"name": "a", "scene": minimal_scene(), "com_trajectory": [dict(self.BASE)]},
+                {"name": "b", "scene": minimal_scene(), "com_trajectory": trajectory},
+            ]
+        }
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_overflowing_force_names_the_sample(self, k):
+        samples = [{}, {"l_dot": [0.0, 0.0, 1.0]}, {}]
+        samples[k] = {"accel": [1e308, 0.0, 0.0]}
+        with pytest.raises(SceneFormatError) as excinfo:
+            scenario_from_dict(self.scenario(*samples), base_dir=None)
+        assert str(excinfo.value) == (
+            f"scenario.phases[1].com_trajectory[{k}].accel: force must have finite components"
+        )
+
+    def test_large_finite_force_accepted(self):
+        scenario = scenario_from_dict(self.scenario({"accel": [1e300, 0.0, -1e300]}), None)
+        assert scenario.phases[1].samples[0].query().com_accel.tolist() == [1e300, 0.0, -1e300]
+
+    def test_samples_hold_one_validated_query(self):
+        scenario = scenario_from_dict(
+            self.scenario({}, {"l_dot": [1.0, 2, 3]}, {"accel": [0.5, 0, -1]}), None
+        )
+        samples = scenario.phases[1].samples
+        for sample in samples:
+            query = sample.query()
+            assert sample.query() is query
+            assert query.com_accel is sample.accel
+            assert query.angular_momentum_rate is sample.l_dot
+            assert not query.com_accel.flags.writeable
+        assert [s.l_dot is None for s in samples] == [True, False, True]
+        assert samples[1].l_dot.tolist() == [1.0, 2.0, 3.0]
+        assert samples[2].accel.tolist() == [0.5, 0.0, -1.0]
+        assert [s.t for s in samples] == [0.0, 0.1, 0.2]
+        moved = dataclasses.replace(samples[2], accel=np.array([1.0, 2.0, 3.0]))
+        assert moved.query().com_accel.tolist() == [1.0, 2.0, 3.0]
+
+    def test_directly_built_sample_validates_its_query(self):
+        sample = TrajectorySample(0.0, np.zeros(3), [0, 0, 1], [1, 2, 3])
+        assert sample.query().angular_momentum_rate.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError, match="com_accel"):
+            TrajectorySample(0.0, np.zeros(3), [np.nan, 0, 0]).query()
