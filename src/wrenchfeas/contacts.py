@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AnchorMismatch, ZeroVector
+from .simplex import PreparedMatrix, prepare
 
 ORTHONORMAL_TOL = 1e-10
 ANCHOR_TOL = 1e-12
@@ -196,13 +197,22 @@ class GeneratingMatrices:
     as columns; ``moment_generators`` holds the corresponding moment arms about
     ``anchor``.  Every transmissible wrench is a nonnegative column combination
     of the stacked 6-row matrix, which is formed once, at construction; both
-    generator fields are read-only views of it.
+    generator fields are read-only views of it.  The membership solves on the
+    stacked and the force-only matrix are prepared (``simplex.prepare``) on
+    first use and shared by every later solve; that cache takes no part in
+    equality or ``repr``.
     """
 
     force_generators: np.ndarray
     moment_generators: np.ndarray
     anchor: np.ndarray
     _stacked: np.ndarray = field(init=False, repr=False, compare=False)
+    _stacked_prepared: PreparedMatrix | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
+    _force_prepared: PreparedMatrix | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self):
         f = np.asarray(self.force_generators, dtype=float)
@@ -223,6 +233,23 @@ class GeneratingMatrices:
         """6 x n matrix with force generators over moment generators
         (read-only)."""
         return self._stacked
+
+    def stacked_prepared(self) -> PreparedMatrix:
+        """``stacked()`` prepared for NNLS membership solves."""
+        return self._prepared("_stacked_prepared", self._stacked)
+
+    def force_prepared(self) -> PreparedMatrix:
+        """``force_generators`` prepared for NNLS membership solves."""
+        return self._prepared("_force_prepared", self.force_generators)
+
+    def _prepared(self, name: str, matrix: np.ndarray) -> PreparedMatrix:
+        # Lock-free: threads that race on first use each prepare an identical
+        # problem, and whichever is stored last is kept.
+        prepared = getattr(self, name)
+        if prepared is None:
+            prepared = prepare(matrix)
+            object.__setattr__(self, name, prepared)
+        return prepared
 
 
 @dataclass(frozen=True)

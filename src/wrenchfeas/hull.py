@@ -48,8 +48,10 @@ def _affine_split(pts: np.ndarray):
     # Singular values below RANK_TOL times the largest are treated as zero,
     # and so are those at the rounding level of the coordinates (at most
     # |centroid| + sv[0]), which is all centering leaves of coincident points.
+    # The complement needs all of V only when there are fewer points than
+    # dimensions; otherwise the thin SVD has it and skips forming U.
     centroid = pts.mean(axis=0)
-    _, sv, vt = np.linalg.svd(pts - centroid, full_matrices=True)
+    _, sv, vt = np.linalg.svd(pts - centroid, full_matrices=len(pts) < pts.shape[1])
     size = max(map(abs, centroid.tolist())) + sv[0]
     noise = 16 * len(pts) * np.finfo(float).eps * size
     rank = int(np.sum(sv > max(RANK_TOL * sv[0], noise, np.finfo(float).tiny)))

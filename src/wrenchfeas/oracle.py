@@ -8,6 +8,11 @@ residual at most ``MEMBERSHIP_TOL``).  No convex hull and no constraint
 matrix is consulted anywhere here, which keeps the module an independent
 check on the polyhedral pipeline built on top of it (it imports only the
 contact model and the solver).
+
+The generator matrices are fixed for a configuration and anchor, so their
+checks, column scaling and Gram matrix are formed once per
+``GeneratingMatrices`` (``stacked_prepared``, ``force_prepared``); each
+membership test pays only for its own target's active-set solve.
 """
 
 from dataclasses import dataclass
@@ -16,7 +21,7 @@ import numpy as np
 
 from .contacts import GeneratingMatrices, Wrench, _check_anchor
 from .errors import LpFailure
-from .simplex import solve
+from .simplex import PreparedMatrix
 
 MEMBERSHIP_TOL = 1e-9
 # Relative width of the boundary band in which a constraint-matrix verdict and
@@ -33,8 +38,8 @@ class MembershipVerdict:
     coefficients: np.ndarray | None = None
 
 
-def _membership(matrix: np.ndarray, target: np.ndarray) -> MembershipVerdict:
-    x, residual = solve(matrix, target)
+def _membership(prepared: PreparedMatrix, target: np.ndarray) -> MembershipVerdict:
+    x, residual = prepared.solve(target)
     if residual <= MEMBERSHIP_TOL:
         return MembershipVerdict(True, x)
     return MembershipVerdict(False)
@@ -44,13 +49,12 @@ def wrench_membership_lp(gen: GeneratingMatrices, wrench: Wrench) -> MembershipV
     """Can the contacts produce this exact wrench?  Feasibility of
     ``stacked_generators @ a == [force; moment]`` with ``a >= 0``."""
     _check_anchor(gen.anchor, wrench.about, "generators")
-    return _membership(gen.stacked(), wrench.as_array())
+    return _membership(gen.stacked_prepared(), wrench.as_array())
 
 
 def force_membership_lp(gen: GeneratingMatrices, force) -> MembershipVerdict:
     """Can the contacts produce this total force, with any moment?"""
-    force = np.asarray(force, dtype=float)
-    return _membership(gen.force_generators, force)
+    return _membership(gen.force_prepared(), force)
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,7 @@ def compare_wcm_oracle(
         for w6 in (stacked @ coeffs).T:
             samples.append((w6, True))
     while len(samples) < n_samples:
-        lo_pair, hi_pair = _straddle_pair(stacked, rng)
+        lo_pair, hi_pair = _straddle_pair(gen, rng)
         samples.append(lo_pair)
         if len(samples) < n_samples:
             samples.append(hi_pair)
@@ -130,19 +134,20 @@ def compare_wcm_oracle(
     )
 
 
-def _straddle_pair(stacked: np.ndarray, rng: np.random.Generator):
+def _straddle_pair(gen: GeneratingMatrices, rng: np.random.Generator):
     """Two wrenches bracketing the cone boundary along a random ray from a
     feasible interior sample, with solver-established verdicts."""
+    stacked, prepared = gen.stacked(), gen.stacked_prepared()
     for _ in range(50):
         coeff = rng.exponential(size=stacked.shape[1])
         base = stacked @ coeff
         direction = rng.normal(size=6)
         direction *= (1.0 + np.linalg.norm(base)) / np.linalg.norm(direction)
-        if _membership(stacked, direction).feasible:
+        if _membership(prepared, direction).feasible:
             continue  # ray direction inside the cone: it would never leave
         lo, hi = 0.0, 1.0
         escaped = True
-        while _membership(stacked, base + hi * direction).feasible:
+        while _membership(prepared, base + hi * direction).feasible:
             lo = hi
             hi *= 4.0
             if hi > 2.0**40:
@@ -152,7 +157,7 @@ def _straddle_pair(stacked: np.ndarray, rng: np.random.Generator):
             continue
         while hi - lo > 1e-3 * (1.0 + hi):
             mid = 0.5 * (lo + hi)
-            if _membership(stacked, base + mid * direction).feasible:
+            if _membership(prepared, base + mid * direction).feasible:
                 lo = mid
             else:
                 hi = mid

@@ -24,9 +24,11 @@ trajectory::
                                      "l_dot": [...]}, ...]}]}
 
 ``l_dot`` may be omitted from a trajectory sample to leave the angular
-momentum rate unspecified.  A sample's force, ``mass * (accel - gravity)``,
-must be finite; an overflow is an error naming the sample's ``accel``.  All
-validation errors name the offending field.
+momentum rate unspecified.  A scene's weight, ``mass * gravity``, must be
+finite; an overflow is an error naming its ``mass``.  A sample's force,
+``mass * (accel - gravity)``, must be finite too; an overflow is an error
+naming the sample's ``accel``.  All validation errors name the offending
+field.
 """
 
 import json
@@ -137,6 +139,8 @@ def scene_from_dict(data, where: str = "scene") -> Scene:
         raise SceneFormatError(f"{where} must be a JSON object")
     mass = _number(_require(data, "mass", where), f"{where}.mass", positive=True)
     gravity = _numbers(_require(data, "gravity", where), 3, f"{where}.gravity")
+    if not all(math.isfinite(mass * g) for g in gravity):
+        raise SceneFormatError(f"{where}.mass: weight mass * gravity must be finite")
     com = np.array(_numbers(_require(data, "com", where), 3, f"{where}.com"), dtype=float)
     raw_contacts = _require(data, "contacts", where)
     if not isinstance(raw_contacts, list) or not raw_contacts:

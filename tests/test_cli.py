@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,19 @@ class TestCheck:
     def test_bad_triple(self, capsys):
         code, _, _ = run(capsys, "check", "flat_foot", "--accel", "1,2")
         assert code == 2
+
+    def test_overflowing_weight_names_mass(self, capsys, tmp_path):
+        # The flag is in range: the scene's weight is what overflows.
+        raw = json.load(open(bundled_path("flat_foot")))
+        raw["mass"] = 1e308
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "check", str(path), "--accel", "0,0,0")
+        assert code == 2
+        assert out == ""
+        assert "heavy.json.mass" in err and "--accel" not in err
 
 
 @pytest.mark.parametrize(
@@ -317,6 +331,19 @@ class TestScenario:
         assert code == 2
         assert out == ""
         assert "overflow.json.phases[0].com_trajectory[0].accel" in err
+
+    def test_overflowing_weight_names_mass(self, capsys, tmp_path):
+        raw = json.load(open(bundled_path("flat_foot")))
+        raw["mass"] = 1e308
+        sample = {"t": 0, "com": [0, 0, 0.8], "accel": [0, 0, 0]}
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps(
+            {"phases": [{"name": "only", "scene": raw, "com_trajectory": [sample]}]}
+        ))
+        code, out, err = run(capsys, "scenario", str(path))
+        assert code == 2
+        assert out == ""
+        assert "heavy.json.phases[0].scene.mass" in err and "accel" not in err
 
     def test_free_moment_samples_build_no_generators(self, capsys, monkeypatch):
         # Every climbing sample leaves the moment free in an unconstrained

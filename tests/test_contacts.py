@@ -1,7 +1,7 @@
 """Contact model: pyramid generators, generating matrices, kinematic helpers."""
 
 import warnings
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -139,6 +139,21 @@ class TestGeneratingMatrices:
         assert np.array_equal(stacked[3:], gen.moment_generators)
         with pytest.raises(ValueError):
             stacked[0, 0] = 1.0
+
+    def test_prepared_problems_cached_outside_equality_and_repr(self):
+        gen = build_generating_matrices(flat_foot_config(), [0, 0, 0.8])
+        before = repr(gen)
+        stacked, force = gen.stacked_prepared(), gen.force_prepared()
+        assert gen.stacked_prepared() is stacked and gen.force_prepared() is force
+        assert repr(gen) == before
+        assert repr(build_generating_matrices(flat_foot_config(), [0, 0, 0.8])) == before
+        assert "prepared" not in before
+        compared = [f.name for f in fields(gen) if f.compare]
+        assert compared == ["force_generators", "moment_generators", "anchor"]
+        assert gen == gen
+        assert stacked.scaled.shape == (6, 16) and force.scaled.shape == (3, 16)
+        with pytest.raises(ValueError):
+            stacked.gram[0, 0] = 1.0
 
 
 def reference_generators(config, com):

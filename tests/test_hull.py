@@ -94,6 +94,24 @@ class TestAffineDimension:
         unit = direction / np.linalg.norm(direction)
         assert np.allclose(np.abs(result.facets[:, :-1] @ unit), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("n_points", [2, 3, 4, 5])
+    def test_fewer_points_than_dimensions(self, n_points):
+        # n generic points in 6-D span an (n - 1)-simplex: n facets inside
+        # its affine hull and 7 - n equalities, whose normals must be the
+        # whole orthonormal complement of that hull.
+        rng = np.random.default_rng(n_points)
+        pts = rng.normal(size=(n_points, 6))
+        result = convex_hull(pts)
+        assert result.affine_dim == n_points - 1
+        assert len(result.facets) == n_points
+        assert len(result.equalities) == 7 - n_points
+        normals = result.equalities[:, :-1]
+        assert np.allclose(normals @ normals.T, np.eye(7 - n_points), atol=1e-12)
+        assert np.allclose(normals @ (pts[1:] - pts[0]).T, 0.0, atol=1e-12)
+        assert_description_valid(pts, result)
+        assert hull_inside(result, pts.mean(axis=0))
+        assert not hull_inside(result, pts.mean(axis=0) + 1e-3 * normals[0])
+
     def test_generic_four_contact_cloud_is_full_dimensional(self):
         rng = np.random.default_rng(4)
         config = random_config(rng, n_contacts=4)

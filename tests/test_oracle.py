@@ -16,6 +16,8 @@ from wrenchfeas import (
     wrench_membership_lp,
 )
 from wrenchfeas.errors import AnchorMismatch
+from wrenchfeas.oracle import MEMBERSHIP_TOL
+from wrenchfeas.simplex import solve
 from wrenchfeas.wcm import WrenchConstraintMatrix
 
 from conftest import flat_foot_config
@@ -80,6 +82,39 @@ def test_anchor_mismatch_rejected(flat_gen):
 def test_force_membership(flat_gen):
     assert force_membership_lp(flat_gen, [1.0, 0.5, 50.0]).feasible
     assert not force_membership_lp(flat_gen, [0.0, 0.0, -1.0]).feasible
+
+
+def test_repeated_calls_share_one_preparation(monkeypatch):
+    # Every membership solve on one GeneratingMatrices reuses one prepared
+    # problem per matrix, and each verdict is exactly a fresh solve's.
+    import wrenchfeas.contacts
+
+    prepared = []
+    real = wrenchfeas.contacts.prepare
+    monkeypatch.setattr(
+        wrenchfeas.contacts, "prepare", lambda m: prepared.append(m) or real(m)
+    )
+    com = np.array([0.0, 0.0, 0.8])
+    cls = classify(flat_foot_config(), com)
+    gen = cls.generating
+    stacked = gen.stacked()
+    rng = np.random.default_rng(11)
+    targets = [stacked @ rng.exponential(size=gen.n_columns) for _ in range(5)]
+    targets += list(rng.normal(size=(5, 6)) * 300.0)
+    for w6 in targets:
+        verdict = wrench_membership_lp(gen, Wrench(w6[:3], w6[3:], com))
+        x, residual = solve(stacked, w6)
+        assert verdict.feasible == (residual <= MEMBERSHIP_TOL)
+        assert verdict.coefficients is None or np.array_equal(verdict.coefficients, x)
+    assert len(prepared) == 1
+    for w6 in targets:
+        verdict = force_membership_lp(gen, w6[:3])
+        x, residual = solve(gen.force_generators, w6[:3])
+        assert verdict.feasible == (residual <= MEMBERSHIP_TOL)
+        assert verdict.coefficients is None or np.array_equal(verdict.coefficients, x)
+    assert len(prepared) == 2
+    compare_wcm_oracle(gen, build_wcm(flat_foot_config(), com, cls.witness), 20, rng_seed=1)
+    assert len(prepared) == 2
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import nnls
 
 from wrenchfeas import build_generating_matrices, load_scene
-from wrenchfeas.simplex import solve
+from wrenchfeas.simplex import prepare, solve
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
@@ -124,6 +124,28 @@ def test_malformed_dimension_mismatch():
         solve([1.0, 2.0], [0.0, 1.0])
 
 
+def test_prepared_matrix_rejects_malformed_input():
+    with pytest.raises(ValueError):
+        prepare([1.0, 2.0])
+    with pytest.raises(ValueError):
+        prepare([[1.0, np.inf]])
+    prepared = prepare([[1.0, 2.0]])
+    with pytest.raises(ValueError):
+        prepared.solve([0.0, 1.0])
+    with pytest.raises(ValueError):
+        prepared.solve([np.nan])
+
+
+def test_prepared_arrays_are_read_only_and_input_untouched():
+    a = np.array([[2.0, -1.0], [0.5, 4.0]])
+    prepared = prepare(a)
+    for arr in (prepared.scaled, prepared.gram, prepared.col_max):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert a.flags.writeable
+    assert np.array_equal(a, [[2.0, -1.0], [0.5, 4.0]])
+
+
 def test_malformed_nonfinite():
     with pytest.raises(ValueError):
         solve([[np.nan]], [1.0])
@@ -176,17 +198,19 @@ def test_bitwise_determinism():
     assert first[1] == second[1]
 
 
+# Entries far below 1e-200 could put the exact solution past the largest
+# double; smaller ones still reach the underflow of 2-norms.
+ELEMENTS = st.floats(-10.0, 10.0, allow_nan=False).filter(
+    lambda v: v == 0.0 or abs(v) >= 1e-200
+)
+
+
 @st.composite
 def problems(draw):
     m = draw(st.integers(1, 6))
     n = draw(st.integers(1, 50))
-    # Entries far below 1e-200 could put the exact solution past the
-    # largest double; smaller ones still reach the underflow of 2-norms.
-    elements = st.floats(-10.0, 10.0, allow_nan=False).filter(
-        lambda v: v == 0.0 or abs(v) >= 1e-200
-    )
-    a = draw(arrays(np.float64, (m, n), elements=elements))
-    b = draw(arrays(np.float64, (m,), elements=elements))
+    a = draw(arrays(np.float64, (m, n), elements=ELEMENTS))
+    b = draw(arrays(np.float64, (m,), elements=ELEMENTS))
     return a, b
 
 
@@ -210,3 +234,21 @@ def test_properties_match_scipy_nnls(problem):
         assert np.array_equal(zero_x, np.zeros(a.shape[1])) and zero_residual == 0.0
     again = solve(a, b)
     assert np.array_equal(again[0], x) and again[1] == residual
+
+
+@settings(max_examples=150, deadline=None)
+@given(problems(), st.data())
+def test_prepared_matrix_solves_each_target_as_solve_does(problem, data):
+    # One preparation serves several targets in turn, reachable, arbitrary,
+    # zero and repeated ones: each result must be bit for bit the one-shot
+    # solve's, so nothing of one solve leaks into the next.
+    a, b = problem
+    m, n = a.shape
+    reachable = a @ data.draw(arrays(np.float64, (n,), elements=st.floats(0.0, 10.0)))
+    others = data.draw(st.lists(arrays(np.float64, (m,), elements=ELEMENTS), max_size=3))
+    prepared = prepare(a)
+    for target in [b, reachable, np.zeros(m), *others, b]:
+        x, residual = prepared.solve(target)
+        expected_x, expected_residual = solve(a, target)
+        assert np.array_equal(x, expected_x)
+        assert residual == expected_residual

@@ -14,12 +14,14 @@ from wrenchfeas import (
     build_generating_matrices,
     build_wcm,
     classify,
+    force_membership_lp,
     acceleration_feasible,
     acceleration_verdict,
     required_wrench,
     shift_wcm,
     wrench_feasible,
     wrench_margin,
+    wrench_membership_lp,
 )
 from wrenchfeas.errors import AnchorMismatch, WitnessOnBoundary
 from wrenchfeas.wcm import WrenchConstraintMatrix, modified_generators
@@ -361,33 +363,65 @@ class TestConcurrentUse:
     def test_shared_objects_under_thread_pool(self, flat_foot_scene):
         # All types are immutable and operations pure: concurrent classify,
         # build and query calls must agree with the serial results exactly.
+        # Membership solves on one shared GeneratingMatrices start together,
+        # so its lazily prepared problems are first used concurrently.
+        import sys
+        import threading
         from concurrent.futures import ThreadPoolExecutor
 
         scene = flat_foot_scene
         cls = classify(scene.config, scene.com)
         wcm = build_wcm(scene.config, scene.com, cls.witness)
+        shared_gen = build_generating_matrices(scene.config, scene.com)
         rng = np.random.default_rng(0)
         wrenches = [
             Wrench(w6[:3], w6[3:], scene.com)
             for w6 in rng.normal(size=(64, 6)) * 150.0
         ]
-        serial = [wrench_feasible(wcm, w) for w in wrenches]
+        serial = [
+            (
+                wrench_feasible(wcm, w),
+                wrench_membership_lp(cls.generating, w),
+                force_membership_lp(cls.generating, w.force),
+            )
+            for w in wrenches
+        ]
+        start = threading.Barrier(8)
 
-        def job(wrench):
+        def job(i):
+            if i < 8:
+                start.wait(timeout=30)
+            wrench = wrenches[i]
             local = classify(scene.config, scene.com)
             rebuilt = build_wcm(scene.config, scene.com, local.witness)
             return (
                 wrench_feasible(wcm, wrench),
                 wrench_feasible(rebuilt, wrench),
                 local.s_star,
+                wrench_membership_lp(shared_gen, wrench),
+                force_membership_lp(shared_gen, wrench.force),
             )
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(job, wrenches))
-        for expected, (shared, rebuilt_verdict, s_star) in zip(serial, results):
-            assert shared == expected
-            assert rebuilt_verdict == expected
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(job, range(len(wrenches)), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for expected, got in zip(serial, results):
+            verdict, wrench_member, force_member = expected
+            shared, rebuilt_verdict, s_star, wrench_got, force_got = got
+            assert shared == verdict
+            assert rebuilt_verdict == verdict
             assert s_star == cls.s_star
+            for want, have in ((wrench_member, wrench_got), (force_member, force_got)):
+                assert have.feasible == want.feasible
+                assert (have.coefficients is None) == (want.coefficients is None)
+                if want.coefficients is not None:
+                    assert np.array_equal(have.coefficients, want.coefficients)
+        stacked = shared_gen.stacked_prepared()
+        assert np.array_equal(stacked.gram, cls.generating.stacked_prepared().gram)
 
 
 class TestFrameEquivariance:
