@@ -38,6 +38,7 @@ from .wcm import (
     acceleration_verdict,
     build_wcm,
     shift_wcm,
+    trajectory_verdicts,
     wrench_feasible,
     wrench_margin,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "rotation_aligning_z",
     "shift_wcm",
     "solve",
+    "trajectory_verdicts",
     "wrench_feasible",
     "wrench_margin",
     "wrench_membership_lp",

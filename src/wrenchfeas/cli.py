@@ -16,7 +16,6 @@ analyze two_walls``).
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import math
@@ -26,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .contacts import MotionQuery, Wrench, build_generating_matrices, required_wrench
+from .contacts import MotionQuery, build_generating_matrices, required_wrench
 from .errors import SceneFormatError
 from .feasibility import classify
 from .oracle import BOUNDARY_BAND
@@ -35,8 +34,8 @@ from .wcm import (
     acceleration_verdict,
     build_wcm,
     shift_wcm,
-    wrench_feasible,
-    wrench_margin,
+    trajectory_verdicts,
+    wrench_verdicts,
 )
 
 WARMUP_REPS = 10
@@ -135,7 +134,8 @@ def cmd_analyze(args) -> int:
 def cmd_check(args) -> int:
     scene = load_scene(_resolve(args.scene))
     query = MotionQuery(args.accel, args.ldot)
-    _flag_checked("--accel", lambda: required_wrench(scene.body, query, scene.com))
+    with np.errstate(over="ignore"):  # an overflow is reported as bad input
+        _flag_checked("--accel", lambda: required_wrench(scene.body, query, scene.com))
     cls, wcm, _, _ = _classify_and_build(scene)
     feasible, margin = acceleration_verdict(cls, wcm, scene.body, query, scene.com)
     _emit(
@@ -157,31 +157,32 @@ def cmd_shift(args) -> int:
     if original is None:
         print("no WCM exists: configuration is unconstrained", file=sys.stderr)
         return 1
-    shifted, t_shift = _timed(lambda: shift_wcm(original, args.delta))
+    shifted, t_shift = _flag_checked(
+        "--delta", lambda: _timed(lambda: shift_wcm(original, args.delta))
+    )
     target_com = scene.com + args.delta
     rebuilt, t_rebuild = _timed(lambda: build_wcm(scene.config, target_com, cls.witness))
 
+    # Every other sample is a nonnegative generator combination; the ones
+    # between are Gaussian, scaled by the largest combination drawn so far.
     rng = np.random.default_rng(args.seed)
     stacked = build_generating_matrices(scene.config, target_com).stacked()
-    agree = disagree = excluded = 0
-    scale_hint = 1.0
-    for k in range(args.samples):
-        if k % 2 == 0:
-            w6 = stacked @ rng.exponential(size=stacked.shape[1])
-            scale_hint = max(scale_hint, float(np.linalg.norm(w6)))
-        else:
-            w6 = rng.normal(size=6) * scale_hint / np.sqrt(6.0)
-        wrench = _flag_checked("--delta", lambda: Wrench(w6[:3], w6[3:], target_com))
-        a = wrench_feasible(shifted, wrench)
-        b = wrench_feasible(rebuilt, wrench)
-        if a == b:
-            agree += 1
-        elif min(
-            abs(wrench_margin(shifted, wrench)), abs(wrench_margin(rebuilt, wrench))
-        ) <= BOUNDARY_BAND * (1.0 + np.linalg.norm(w6)):
-            excluded += 1
-        else:
-            disagree += 1
+    draws = [
+        rng.exponential(size=stacked.shape[1]) if k % 2 == 0 else rng.normal(size=6)
+        for k in range(args.samples)
+    ]
+    wrenches = np.empty((args.samples, 6))
+    wrenches[0::2] = np.array(draws[0::2]) @ stacked.T
+    hints = np.maximum.accumulate(np.maximum(np.linalg.norm(wrenches[0::2], axis=1), 1.0))
+    gaussian = np.array(draws[1::2]).reshape(-1, 6)
+    wrenches[1::2] = gaussian * hints[: args.samples // 2, None] / np.sqrt(6.0)
+    norms = np.linalg.norm(wrenches, axis=1)
+    a, margin_a = wrench_verdicts(shifted, wrenches, target_com)
+    b, margin_b = wrench_verdicts(rebuilt, wrenches, target_com)
+    near = np.minimum(np.abs(margin_a), np.abs(margin_b))
+    agree = int(np.sum(a == b))
+    excluded = int(np.sum((a != b) & (near <= BOUNDARY_BAND * (1.0 + norms))))
+    disagree = args.samples - agree - excluded
 
     report = {
         "command": "shift",
@@ -211,32 +212,26 @@ def cmd_scenario(args) -> int:
     for phase in scenario.phases:
         scene = phase.scene
         cls, wcm, t_classify, t_build = _classify_and_build(scene)
-        shift_times = []
-        for sample in phase.samples:
-            # Re-anchor at the sample CoM what the answer reads: W when it
-            # exists, else the classification's generators if the moment is
-            # pinned (a free moment needs neither).
-            query = sample.query()
-            here, moved = cls, None
-            if wcm is not None:
-                moved, t_move = _timed(lambda: shift_wcm(wcm, sample.com - wcm.anchor))
-                shift_times.append(t_move)
-            elif query.angular_momentum_rate is not None:
-                gen = build_generating_matrices(scene.config, sample.com)
-                here = dataclasses.replace(cls, generating=gen)
-            feasible, margin = acceleration_verdict(
-                here, moved, scene.body, query, sample.com
+        samples = phase.samples
+        coms, accels = [s.com for s in samples], [s.accel for s in samples]
+        l_dots = [s.l_dot for s in samples]
+        (verdicts, margins), t_answer = _timed(
+            lambda: _flag_checked(
+                f"phase {phase.name}",
+                lambda: trajectory_verdicts(cls, wcm, scene.body, coms, accels, l_dots),
             )
-            all_feasible &= feasible
-            timeline.append(
-                {
-                    "phase": phase.name,
-                    "t": sample.t,
-                    "com": sample.com.tolist(),
-                    "feasible": bool(feasible),
-                    "margin": margin,
-                }
-            )
+        )
+        all_feasible &= all(verdicts)
+        timeline.extend(
+            {
+                "phase": phase.name,
+                "t": sample.t,
+                "com": sample.com.tolist(),
+                "feasible": feasible,
+                "margin": margin,
+            }
+            for sample, feasible, margin in zip(samples, verdicts, margins)
+        )
         phase_rows.append(
             {
                 "phase": phase.name,
@@ -244,10 +239,12 @@ def cmd_scenario(args) -> int:
                 "classification": "constrained" if cls.constrained else "unconstrained",
                 "classify_us": 1e6 * t_classify,
                 "wcm_build_us": None if t_build is None else 1e6 * t_build,
+                # The batched answer at W's anchor (re-anchoring and verdicts),
+                # per sample; null when the phase has no W.
                 "mean_shift_us": (
-                    None if not shift_times else 1e6 * float(np.mean(shift_times))
+                    1e6 * t_answer / len(samples) if wcm is not None and samples else None
                 ),
-                "n_samples": len(phase.samples),
+                "n_samples": len(samples),
             }
         )
     _emit(

@@ -344,9 +344,14 @@ def required_wrench(body: RigidBodyParams, query: MotionQuery, com) -> Wrench:
     """
     com = _as_vec3(com, "com")
     force = _freeze_finite(body.mass * (query.com_accel - body.gravity), "force")
-    l_dot = query.angular_momentum_rate
-    moment = _ZERO3 if l_dot is None else l_dot
+    moment = _required_moment(query.angular_momentum_rate)
     return _unchecked(Wrench, force=force, moment=moment, about=com)
+
+
+def _required_moment(l_dot):
+    """The required moment: the angular momentum rate, zero when the query
+    leaves it unspecified."""
+    return _ZERO3 if l_dot is None else l_dot
 
 
 def rotation_aligning_z(v) -> np.ndarray:

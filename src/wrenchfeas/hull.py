@@ -77,6 +77,18 @@ def _canonical_basis(rows: np.ndarray) -> np.ndarray:
     return np.array(basis).reshape(len(rows), rows.shape[1])
 
 
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D float array without exact copies, each kept at its
+    first occurrence, in input order.  One sort of each row's bytes as a
+    single key finds the copies: adding 0.0 turns -0.0 into 0.0, so two rows'
+    bytes are equal exactly when their values are.  np.unique returns each
+    key's first occurrence; sorting those indices restores the input order."""
+    keys = (rows + 0.0).view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    first = np.unique(keys.ravel(), return_index=True)[1]
+    first.sort()
+    return rows[first]
+
+
 def convex_hull(points) -> HullResult:
     """Facets and equalities of the convex hull of a point cloud.
 
@@ -117,14 +129,8 @@ def convex_hull(points) -> HullResult:
         # qhull rows satisfy normal . y + off <= 0 inside; flip to >= sense.
         sub = hull.equations * np.append(-np.ones(rank), 1.0)
         # Drop copies before the lift below: there, BLAS may round two copies
-        # of one row differently.  A stable sort keeps each first occurrence
-        # at the head of its run of equal rows.
-        order = np.lexsort(sub.T)
-        ranked = sub[order]
-        head = np.append(True, np.any(ranked[1:] != ranked[:-1], axis=1))
-        keep = np.zeros(len(sub), dtype=bool)
-        keep[order[head]] = True
-        sub = sub[keep]
+        # of one row differently.
+        sub = _unique_rows(sub)
 
     normals = sub[:, :-1] @ basis
     norms = np.linalg.norm(normals, axis=1)

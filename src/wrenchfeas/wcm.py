@@ -21,7 +21,10 @@ construction:
 Once built for one anchor point, the matrix is re-anchored under a shift of
 the reference point by a single 6x6 multiply, because a wrench about the new
 point maps linearly to the same wrench about the old one.  That makes moving
-the reference point vastly cheaper than rebuilding.
+the reference point vastly cheaper than rebuilding.  A whole path of CoM
+samples needs no shifted matrix at all: ``trajectory_verdicts`` maps each
+sample's wrench back to the build anchor and answers the path in one batched
+product.
 """
 
 import math
@@ -37,6 +40,8 @@ from .contacts import (
     Wrench,
     _as_vec3,
     _check_anchor,
+    _required_moment,
+    _unchecked,
     build_generating_matrices,
     required_wrench,
     rotation_aligning_z,
@@ -48,8 +53,13 @@ from .oracle import wrench_membership_lp
 
 POSITIVITY_EPS = 1e-10
 MEMBERSHIP_EPS = 1e-9
+# Largest shift component: the shifted rows' squared norms stay finite below it.
+MAX_SHIFT = 1e150
 _IDENTITY6 = np.eye(6)
 _ONES6 = np.ones(6)
+# Where each column of a 5-D hull row [a0..a4 | w] lands in a wrench row.
+_LIFT = [0, 1, 3, 4, 5, 2]
+_NORMAL_FORCE_ROW = (0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -121,11 +131,14 @@ def build_wcm(config: ContactConfiguration, com, v) -> WrenchConstraintMatrix:
     # A bound a . p >= w on the normalized 5-D point (fx, fy, mx, my, mz)/fz
     # multiplies through by fz > 0 into one homogeneous row on the wrench:
     # (a0, a1, -w, a2, a3, a4).  Equalities contribute a +/- row pair, and a
-    # last row asserts nonnegative normal force.
-    planes = np.vstack([hull.facets, hull.equalities, -hull.equalities])
-    rows = np.vstack(
-        [np.insert(planes[:, :-1], 2, -planes[:, -1], axis=1), [0, 0, 1, 0, 0, 0]]
-    )
+    # last row asserts nonnegative normal force.  All go into one array.
+    k, m = len(hull.facets), len(hull.equalities)
+    rows = np.empty((k + 2 * m + 1, 6))
+    rows[:k, _LIFT] = hull.facets
+    rows[k : k + m, _LIFT] = hull.equalities
+    rows[: k + m, 2] *= -1.0
+    rows[k + m : -1] = -rows[k : k + m]
+    rows[-1] = _NORMAL_FORCE_ROW
 
     frame = np.zeros((6, 6))
     frame[:3, :3] = mod.rotation
@@ -140,10 +153,14 @@ def shift_wcm(wcm: WrenchConstraintMatrix, delta) -> WrenchConstraintMatrix:
 
     A wrench about the new point B maps to the same physical wrench about the
     old point A via moment_A = moment_B + delta x force, so composing the rows
-    with that map yields the constraints expressed about B.
+    with that map yields the constraints expressed about B.  A component of
+    ``delta`` beyond ``MAX_SHIFT`` is rejected: the shifted rows' norms could
+    overflow.
     """
     delta = _as_vec3(delta, "delta")
     dx, dy, dz = delta.tolist()
+    if max(abs(dx), abs(dy), abs(dz)) > MAX_SHIFT:
+        raise ValueError(_overflow_message(dx, dy, dz))
     # The identity with skew(delta) in the lower-left block.
     transfer = _IDENTITY6.copy()
     transfer[3, 1], transfer[3, 2] = -dz, dy
@@ -156,20 +173,61 @@ def shift_wcm(wcm: WrenchConstraintMatrix, delta) -> WrenchConstraintMatrix:
     return WrenchConstraintMatrix(rows, wcm.anchor + delta)
 
 
+def _overflow_message(*delta: float) -> str:
+    if not all(map(math.isfinite, delta)):
+        return "a shift component is not finite"
+    return (
+        f"a shift component of {max(map(abs, delta)):g} exceeds {MAX_SHIFT:g}, "
+        "beyond which the shifted constraint matrix overflows"
+    )
+
+
 def wrench_margin(wcm: WrenchConstraintMatrix, wrench: Wrench) -> float:
     """Smallest row activation; nonnegative (to tolerance) means achievable."""
     _check_anchor(wcm.anchor, wrench.about, "constraint matrix")
     return float((wcm.rows @ wrench.as_array()).min())
 
 
-def _within_band(margin: float, wrench: Wrench) -> bool:
-    scale = 1.0 + math.hypot(*wrench.force.tolist(), *wrench.moment.tolist())
-    return margin >= -MEMBERSHIP_EPS * scale
+def _within_band(margin, norm):
+    """The relative band of every verdict read from ``W``: a wrench of 2-norm
+    ``norm`` whose margin is at least ``-MEMBERSHIP_EPS * (1 + norm)`` is
+    feasible.  Scalars or matching arrays."""
+    return margin >= -MEMBERSHIP_EPS * (1.0 + norm)
+
+
+def _norm(wrench: Wrench) -> float:
+    return math.hypot(*wrench.force.tolist(), *wrench.moment.tolist())
 
 
 def wrench_feasible(wcm: WrenchConstraintMatrix, wrench: Wrench) -> bool:
     """Membership test ``rows @ [force; moment] >= 0`` with a relative band."""
-    return _within_band(wrench_margin(wcm, wrench), wrench)
+    return _within_band(wrench_margin(wcm, wrench), _norm(wrench))
+
+
+def wrench_verdicts(wcm: WrenchConstraintMatrix, wrenches, about):
+    """``wrench_feasible`` and ``wrench_margin`` for many wrenches about
+    ``about``, given as the rows of a T x 6 array ``[force | moment]``, from
+    one product.  Returns a boolean array and a float array."""
+    _check_anchor(wcm.anchor, _as_vec3(about, "about"), "constraint matrix")
+    wrenches = np.asarray(wrenches, dtype=float).reshape(-1, 6)
+    margins = (wrenches @ wcm.rows.T).min(axis=1)
+    norms = np.sqrt((wrenches * wrenches) @ _ONES6)
+    return _within_band(margins, norms), margins
+
+
+def _free_moment(classification: Classification, l_dot) -> bool:
+    """The rule for a query that pins no angular momentum rate, for both query
+    paths: an unconstrained configuration admits any moment, so such a query
+    is feasible with no margin; a constrained one is checked at zero moment,
+    the fill of ``contacts._required_moment`` (and so of ``required_wrench``)."""
+    return l_dot is None and not classification.constrained
+
+
+def _require_wcm(classification: Classification, wcm):
+    if classification.constrained and wcm is None:
+        raise ValueError(
+            "constrained configuration: a wrench constraint matrix is required"
+        )
 
 
 def acceleration_verdict(
@@ -187,18 +245,16 @@ def acceleration_verdict(
     the angular momentum rate is feasible, with no margin; a pinned one goes
     to the membership oracle, since arbitrary force does not by itself give
     an arbitrary moment.  ``wcm``, or else the classification's generators,
-    must be anchored at ``com``.
+    must be anchored at ``com``.  ``trajectory_verdicts`` answers a whole path
+    of samples the same way.
     """
+    _require_wcm(classification, wcm)
+    if _free_moment(classification, query.angular_momentum_rate):
+        return True, None
     if classification.constrained:
-        if wcm is None:
-            raise ValueError(
-                "constrained configuration: a wrench constraint matrix is required"
-            )
         wrench = required_wrench(body, query, com)
         margin = wrench_margin(wcm, wrench)
-        return _within_band(margin, wrench), margin
-    if query.angular_momentum_rate is None:
-        return True, None
+        return _within_band(margin, _norm(wrench)), margin
     gen = classification.generating
     _check_anchor(gen.anchor, np.asarray(com, dtype=float), "classification")
     return wrench_membership_lp(gen, required_wrench(body, query, com)).feasible, None
@@ -207,3 +263,76 @@ def acceleration_verdict(
 def acceleration_feasible(classification, wcm, body, query, com) -> bool:
     """The verdict of ``acceleration_verdict``, without the margin."""
     return acceleration_verdict(classification, wcm, body, query, com)[0]
+
+
+def trajectory_verdicts(
+    classification: Classification,
+    wcm: WrenchConstraintMatrix | None,
+    body: RigidBodyParams,
+    coms,
+    accels,
+    l_dots,
+) -> tuple[list, list]:
+    """``acceleration_verdict`` for every sample of a path: CoM ``coms[t]``,
+    acceleration ``accels[t]`` and angular momentum rate ``l_dots[t]`` (None
+    when not pinned), answered at one anchor, that of ``wcm`` when the
+    configuration is constrained, else that of the classification's
+    generators.  Returns the verdicts and the margins as lists.
+
+    No matrix is shifted and no generators are built per sample.  Each
+    sample's required wrench about its CoM B is mapped to the same physical
+    wrench about the anchor A, ``m_A = m_B + (B - A) x f``.  Constrained, one
+    (k x 6)(6 x T) product gives every row's activation on the mapped
+    wrenches, and dividing by the norms the shifted rows would have,
+    ``|r_f + r_m x (B - A)|^2 + |r_m|^2``, gives ``shift_wcm``'s margins.
+    Unconstrained, each sample that pins the moment is one membership solve
+    on the generators, which are prepared once for all of them.
+    """
+    _require_wcm(classification, wcm)
+    count = len(l_dots)
+    if len(coms) != count or len(accels) != count:
+        raise ValueError("coms, accels and l_dots must have one entry per sample")
+    verdicts, margins = [True] * count, [None] * count
+    pinned = [t for t in range(count) if not _free_moment(classification, l_dots[t])]
+    if not pinned:
+        return verdicts, margins
+    gen = classification.generating
+    anchor = wcm.anchor if classification.constrained else gen.anchor
+    ax, ay, az = anchor.tolist()
+    (gx, gy, gz), mass = body.gravity.tolist(), body.mass
+    moments = [_required_moment(l_dot) for l_dot in l_dots]
+    coms, accels, moments = np.array([coms, accels, moments], dtype=float).tolist()
+    # Per sample, on floats: required_wrench's force (the same operations),
+    # its moment, the wrench mapped to the anchor, the 2-norm the band reads,
+    # and skew(delta), the lower-left block of shift_wcm's transfer T(delta).
+    mapped, norms, skews = [], [], []
+    for t in pinned:
+        (cx, cy, cz), (ux, uy, uz), (mx, my, mz) = coms[t], accels[t], moments[t]
+        fx, fy, fz = mass * (ux - gx), mass * (uy - gy), mass * (uz - gz)
+        dx, dy, dz = cx - ax, cy - ay, cz - az
+        if not (abs(dx) <= MAX_SHIFT and abs(dy) <= MAX_SHIFT and abs(dz) <= MAX_SHIFT):
+            raise ValueError(_overflow_message(dx, dy, dz))
+        w6 = (fx, fy, fz, mx + (dy * fz - dz * fy))
+        w6 += (my + (dz * fx - dx * fz), mz + (dx * fy - dy * fx))
+        if not all(map(math.isfinite, w6)):
+            raise ValueError("a sample's required wrench about the anchor is not finite")
+        mapped += w6
+        norms.append(math.hypot(fx, fy, fz, mx, my, mz))
+        skews += (0.0, -dz, dy, dz, 0.0, -dx, -dy, dx, 0.0)
+    mapped = np.array(mapped).reshape(-1, 6)
+    mapped.flags.writeable = False
+    if not classification.constrained:
+        for t, w6 in zip(pinned, mapped):
+            wrench = _unchecked(Wrench, force=w6[:3], moment=w6[3:], about=anchor)
+            verdicts[t] = wrench_membership_lp(gen, wrench).feasible
+        return verdicts, margins
+    rows = wcm.rows
+    transfers = np.empty((len(pinned), 6, 6))
+    transfers[:] = _IDENTITY6
+    transfers[:, 3:, :3] = np.array(skews).reshape(-1, 3, 3)
+    shifted = rows @ transfers  # T x k x 6: every sample's shifted rows
+    activation = mapped @ rows.T  # T x k
+    found = (activation / np.sqrt((shifted * shifted) @ _ONES6)).min(axis=1).tolist()
+    for t, margin, norm in zip(pinned, found, norms):
+        verdicts[t], margins[t] = _within_band(margin, norm), margin
+    return verdicts, margins

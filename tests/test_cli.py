@@ -13,15 +13,27 @@ import numpy as np
 import pytest
 from wrenchfeas import (
     MotionQuery,
+    Wrench,
     build_generating_matrices,
+    build_wcm,
     bundled_path,
+    classify,
+    cli,
+    feasibility,
+    load_scene,
     required_wrench,
+    shift_wcm,
+    wrench_feasible,
+    wrench_margin,
     wrench_membership_lp,
 )
-from wrenchfeas import cli
+from wrenchfeas import wcm as wcm_module
 from wrenchfeas.cli import main
+from wrenchfeas.oracle import BOUNDARY_BAND
 from wrenchfeas.scenes import scene_from_dict
+from wrenchfeas.wcm import WrenchConstraintMatrix
 
+CONSTRAINED_SCENES = ["flat_foot"] + [f"traverse_phase{k}" for k in range(1, 7)]
 BUNDLED_SCENES = sorted(
     p.stem for p in bundled_path("flat_foot").parent.glob("*.json")
     if "scenario" not in p.stem
@@ -154,6 +166,7 @@ class TestCheck:
         "negative-shift-seed",
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_out_of_range_flag_is_an_input_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -181,7 +194,72 @@ def test_report_bytes_match_streamed_json_dump(capsys, argv):
     assert out == streamed.getvalue() + "\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_far_shift_names_the_shifted_matrix(capsys):
+    code, out, err = run(capsys, "shift", "flat_foot", "--delta", "1e200,0,0", "--samples", "2")
+    assert code == 2 and out == ""
+    assert "--delta" in err and "shifted constraint matrix overflows" in err
+    assert "force" not in err
+
+
+def reference_agreement(shifted, rebuilt, stacked, about, samples, seed):
+    """The agreement tally of ``shift``, one sample at a time."""
+    rng = np.random.default_rng(seed)
+    tally = {"samples": samples, "agree": 0, "disagree": 0, "boundary_excluded": 0}
+    hint = 1.0
+    for k in range(samples):
+        if k % 2 == 0:
+            w6 = stacked @ rng.exponential(size=stacked.shape[1])
+            hint = max(hint, float(np.linalg.norm(w6)))
+        else:
+            w6 = rng.normal(size=6) * hint / np.sqrt(6.0)
+        wrench = Wrench(w6[:3], w6[3:], about)
+        a, b = wrench_feasible(shifted, wrench), wrench_feasible(rebuilt, wrench)
+        near = min(abs(wrench_margin(shifted, wrench)), abs(wrench_margin(rebuilt, wrench)))
+        if a == b:
+            tally["agree"] += 1
+        elif near <= BOUNDARY_BAND * (1.0 + np.linalg.norm(w6)):
+            tally["boundary_excluded"] += 1
+        else:
+            tally["disagree"] += 1
+    return tally
+
+
 class TestShift:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", CONSTRAINED_SCENES)
+    def test_batched_tally_matches_one_at_a_time(self, capsys, monkeypatch, name, seed):
+        # A rebuild whose rows belong to another anchor disagrees with the
+        # shifted matrix on some samples, so the tally depends on every drawn
+        # sample and on the order of the draws.
+        scene = load_scene(bundled_path(name))
+
+        def misplaced(config, com, v):
+            built = build_wcm(config, com, v)
+            if np.array_equal(com, scene.com):
+                return built
+            return WrenchConstraintMatrix(shift_wcm(built, [0.3, 0.3, 0.0]).rows, built.anchor)
+
+        monkeypatch.setattr(cli, "build_wcm", misplaced)
+        code, report, _ = run_json(
+            capsys, "shift", name, "--delta", "0.05,-0.02,0.1", "--samples", "301",
+            "--seed", str(seed),
+        )
+        assert code == 0
+        cls = classify(scene.config, scene.com)
+        delta = np.array([0.05, -0.02, 0.1])
+        target = scene.com + delta
+        expected = reference_agreement(
+            shift_wcm(build_wcm(scene.config, scene.com, cls.witness), delta),
+            misplaced(scene.config, target, cls.witness),
+            build_generating_matrices(scene.config, target).stacked(),
+            target,
+            301,
+            seed,
+        )
+        assert report["agreement"] == expected
+        assert expected["disagree"] > 100
+
     def test_zero_delta_identical(self, capsys):
         code, report, _ = run_json(
             capsys, "shift", "flat_foot", "--delta", "0,0,0", "--samples", "200"
@@ -332,6 +410,20 @@ class TestScenario:
         assert out == ""
         assert "overflow.json.phases[0].com_trajectory[0].accel" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", ["flat_foot", "two_walls"])
+    def test_far_sample_is_an_input_error(self, capsys, tmp_path, name):
+        raw = json.load(open(bundled_path(name)))
+        sample = {"t": 0, "com": [1e200, 0, 0.8], "accel": [0, 0, 0], "l_dot": [0, 0, 0]}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(
+            {"phases": [{"name": "far", "scene": raw, "com_trajectory": [sample]}]}
+        ))
+        code, out, err = run(capsys, "scenario", str(path))
+        assert code == 2
+        assert out == ""
+        assert "phase far: a shift component of 1e+200 exceeds" in err
+
     def test_overflowing_weight_names_mass(self, capsys, tmp_path):
         raw = json.load(open(bundled_path("flat_foot")))
         raw["mass"] = 1e308
@@ -349,13 +441,46 @@ class TestScenario:
         # Every climbing sample leaves the moment free in an unconstrained
         # phase: the verdict needs no generators at the sample CoM.
         built = []
-        real = cli.build_generating_matrices
-        monkeypatch.setattr(
-            cli, "build_generating_matrices", lambda *a: built.append(a) or real(*a)
-        )
+        for module in (cli, wcm_module):
+            real = module.build_generating_matrices
+            monkeypatch.setattr(
+                module, "build_generating_matrices",
+                lambda *a, real=real: built.append(a) or real(*a),
+            )
         code, report, _ = run_json(capsys, "scenario", str(bundled_path("climbing_scenario")))
         assert code == 0 and len(report["timeline"]) == 18
         assert built == []
+
+
+def test_scenario_re_anchors_once_per_phase(capsys, monkeypatch, tmp_path):
+    # Generators are built once by classify and once per W build, per phase;
+    # no sample shifts W or builds generators at its own CoM.
+    built, shifted = [], []
+    for module in (cli, feasibility, wcm_module):
+        real = module.build_generating_matrices
+        monkeypatch.setattr(
+            module, "build_generating_matrices",
+            lambda *a, real=real: built.append(a) or real(*a),
+        )
+    for module in (cli, wcm_module):
+        monkeypatch.setattr(module, "shift_wcm", lambda *a: shifted.append(a))
+    phases = []
+    for name in ("flat_foot", "two_walls", "traverse_phase2"):
+        raw = json.load(open(bundled_path(name)))
+        trajectory = [
+            {"t": 0.1 * k, "com": [c + 0.01 * k for c in raw["com"]],
+             "accel": [0.1, 0.0, 0.2 * k], "l_dot": [0.0, 0.1 * k, 0.0]}
+            for k in range(6)
+        ]
+        phases.append({"name": name, "scene": raw, "com_trajectory": trajectory})
+    path = tmp_path / "pinned.json"
+    path.write_text(json.dumps({"phases": phases}))
+    code, report, _ = run_json(capsys, "scenario", str(path))
+    assert code in (0, 1) and len(report["timeline"]) == 18
+    constrained = sum(p["classification"] == "constrained" for p in report["phases"])
+    assert constrained == 2
+    assert len(built) == len(phases) + constrained
+    assert shifted == []
 
 
 class TestScenarioDeterminism:

@@ -326,13 +326,20 @@ def greedy_merge(rows, diameter):
     return rows[kept]
 
 
+def raw_rows(pts):
+    """qhull's raw rows for ``pts``, in the frame ``convex_hull`` hulls in."""
+    rank, basis, _, centroid = hull._affine_split(pts)
+    projected = (pts - centroid) @ basis.T
+    return ConvexHull(projected).equations * np.append(-np.ones(rank), 1.0)
+
+
 def greedy_facets(pts):
     """qhull's raw rows for ``pts``, in the frame ``convex_hull`` hulls in,
     and the facets ``convex_hull`` would return if ``greedy_merge`` chose
     the rows it keeps (lifted and sorted as it does)."""
     rank, basis, _, centroid = hull._affine_split(pts)
     projected = (pts - centroid) @ basis.T
-    raw = ConvexHull(projected).equations * np.append(-np.ones(rank), 1.0)
+    raw = raw_rows(pts)
     diameter = float(np.linalg.norm(projected.max(axis=0) - projected.min(axis=0)))
     sub = greedy_merge(raw, diameter)
     normals = sub[:, :-1] @ basis
@@ -402,3 +409,51 @@ def test_merge_matches_greedy_on_seeded_stances():
         hulled += 1
         merged += len(expected) < len(raw)
     assert hulled >= 200 and merged >= 150
+
+
+def lexsort_unique_rows(rows):
+    """Reference for ``hull._unique_rows``: a stable lexsort over every
+    column, a comparison of adjacent sorted rows, and a mask indexed through
+    the sort order, which keeps each first occurrence in input order."""
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    head = np.append(True, np.any(ranked[1:] != ranked[:-1], axis=1))
+    keep = np.zeros(len(rows), dtype=bool)
+    keep[order[head]] = True
+    return rows[keep]
+
+
+def test_unique_rows_matches_lexsort_on_seeded_stances():
+    # The 240 stances of the sweep above: the same rows, in the same order,
+    # with the same bits, as the lexsort dedup.
+    rng = np.random.default_rng(2016)
+    compared = 0
+    for k in range(240):
+        mu = (0.0, 0.3, 0.5, 0.8)[k % 4]
+        config = floor_stance(rng, int(rng.integers(1, 11)), int(rng.integers(3, 9)), mu)
+        com = rng.uniform([-0.05, -0.05, 0.7], [0.05, 0.05, 0.9])
+        pts = stance_cloud(config, com)
+        if hull._affine_split(pts)[0] < 2:
+            continue
+        raw = raw_rows(pts)
+        assert hull._unique_rows(raw).tobytes() == lexsort_unique_rows(raw).tobytes(), k
+        compared += 1
+    assert compared >= 200
+
+
+def test_unique_rows_treats_signed_zeros_as_equal():
+    # Rows that differ only in the sign of a zero are copies; the first one
+    # is kept with its own bits.
+    rows = np.array(
+        [
+            [-0.0, 1.0, 2.0],
+            [0.0, 1.0, 2.0],
+            [1.0, 0.0, 0.5],
+            [1.0, -0.0, 0.5],
+            [-0.0, 1.0, 2.0],
+            [3.0, 1.0, 2.0],
+        ]
+    )
+    kept = hull._unique_rows(rows)
+    assert kept.tobytes() == lexsort_unique_rows(rows).tobytes()
+    assert kept.tobytes() == rows[[0, 2, 5]].tobytes()

@@ -23,8 +23,15 @@ from wrenchfeas import (
     wrench_margin,
     wrench_membership_lp,
 )
+from wrenchfeas import bundled_path, load_scene, wcm as wcm_module
 from wrenchfeas.errors import AnchorMismatch, WitnessOnBoundary
-from wrenchfeas.wcm import WrenchConstraintMatrix, modified_generators
+from wrenchfeas.scenes import scene_from_dict
+from wrenchfeas.wcm import (
+    WrenchConstraintMatrix,
+    modified_generators,
+    trajectory_verdicts,
+    wrench_verdicts,
+)
 
 from conftest import (
     flat_foot_config,
@@ -357,6 +364,156 @@ class TestQueries:
             acceleration_feasible(
                 cls, None, scene.body, MotionQuery([0, 0, 0]), scene.com
             )
+
+
+CONSTRAINED_SCENES = ["flat_foot"] + [f"traverse_phase{k}" for k in range(1, 7)]
+
+# Two opposed contacts pinching the CoM height: unconstrained, yet a pinned
+# moment about x is out of reach at the contacts' height.
+PINCH = {
+    "mass": 60.0,
+    "gravity": [0.0, 0.0, -9.81],
+    "com": [0.0, 0.0, 0.6],
+    "contacts": [
+        {"point": [-0.3, 0.0, 0.6], "normal": [1, 0, 0], "mu": 0.8, "sides": 4},
+        {"point": [0.3, 0.0, 0.6], "normal": [-1, 0, 0], "mu": 0.8, "sides": 4},
+    ],
+}
+
+
+def seeded_path(rng, com, n, reach=0.3, free_every=3):
+    """``n`` CoM samples within ``reach`` of ``com``, with random
+    accelerations and angular momentum rates (every ``free_every``-th left
+    free)."""
+    direction = rng.normal(size=(n, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    coms = com + direction * rng.uniform(0.0, reach, size=(n, 1))
+    accels = rng.normal(size=(n, 3)) * 3.0
+    l_dots = [None if t % free_every == 0 else rng.normal(size=3) * 3.0 for t in range(n)]
+    return coms, accels, l_dots
+
+
+class TestTrajectoryVerdicts:
+    @pytest.mark.parametrize("name", CONSTRAINED_SCENES)
+    def test_matches_shift_then_query(self, name):
+        # One batched call against shift_wcm + wrench_margin/wrench_feasible
+        # per sample, on seeded paths with |delta| <= 0.3 m.
+        scene = load_scene(bundled_path(name))
+        cls = classify(scene.config, scene.com)
+        wcm = build_wcm(scene.config, scene.com, cls.witness)
+        rng = np.random.default_rng(CONSTRAINED_SCENES.index(name))
+        coms, accels, l_dots = seeded_path(rng, scene.com, 60)
+        verdicts, margins = trajectory_verdicts(cls, wcm, scene.body, coms, accels, l_dots)
+        outside = 0
+        for com, accel, l_dot, feasible, margin in zip(coms, accels, l_dots, verdicts, margins):
+            shifted = shift_wcm(wcm, com - wcm.anchor)
+            wrench = required_wrench(scene.body, MotionQuery(accel, l_dot), com)
+            expected = wrench_margin(shifted, wrench)
+            scale = 1.0 + np.linalg.norm(wrench.as_array())
+            assert abs(margin - expected) <= 1e-12 * scale
+            if abs(expected) > 1e-7 * scale:
+                outside += 1
+                assert feasible == wrench_feasible(shifted, wrench)
+        assert outside >= 50
+        assert {True, False} <= set(verdicts) or name == "flat_foot"
+
+    @pytest.mark.parametrize("raw", ["two_walls", PINCH], ids=["two_walls", "pinch"])
+    def test_unconstrained_phase_anchor_matches_sample_anchor(self, raw):
+        # Phase-anchored membership solves against generators built at each
+        # sample's CoM.
+        if isinstance(raw, str):
+            scene = load_scene(bundled_path(raw))
+        else:
+            scene = scene_from_dict(raw)
+        cls = classify(scene.config, scene.com)
+        assert not cls.constrained
+        rng = np.random.default_rng(11)
+        coms, accels, l_dots = seeded_path(rng, scene.com, 30, reach=0.1)
+        verdicts, margins = trajectory_verdicts(cls, None, scene.body, coms, accels, l_dots)
+        expected = []
+        for com, accel, l_dot in zip(coms, accels, l_dots):
+            if l_dot is None:
+                expected.append(True)
+                continue
+            gen = build_generating_matrices(scene.config, com)
+            wrench = required_wrench(scene.body, MotionQuery(accel, l_dot), com)
+            expected.append(wrench_membership_lp(gen, wrench).feasible)
+        assert verdicts == expected
+        assert margins == [None] * len(coms)
+        # two_walls admits every wrench; the pinch rejects some moments.
+        assert set(expected) == ({True} if raw == "two_walls" else {True, False})
+
+    def test_one_sample_matches_acceleration_verdict(self, flat_foot_scene, two_walls_scene):
+        query = MotionQuery([0.5, -0.2, 1.0], [0.1, 0.0, -0.2])
+        for scene in (flat_foot_scene, two_walls_scene):
+            cls = classify(scene.config, scene.com)
+            wcm = build_wcm(scene.config, scene.com, cls.witness) if cls.constrained else None
+            single = acceleration_verdict(cls, wcm, scene.body, query, scene.com)
+            (feasible,), (margin,) = trajectory_verdicts(
+                cls, wcm, scene.body, [scene.com], [query.com_accel], [query.angular_momentum_rate]
+            )
+            assert feasible == single[0]
+            assert margin == pytest.approx(single[1], rel=1e-12, abs=1e-12)
+
+    def test_free_moments_need_no_solve(self, two_walls_scene, monkeypatch):
+        scene = two_walls_scene
+        cls = classify(scene.config, scene.com)
+        monkeypatch.setattr(wcm_module, "wrench_membership_lp", None)
+        coms = [scene.com, scene.com + 0.1]
+        assert trajectory_verdicts(cls, None, scene.body, coms, [[0, 0, 5]] * 2, [None] * 2) == (
+            [True, True],
+            [None, None],
+        )
+
+    def test_empty_path(self, flat_foot_scene):
+        scene = flat_foot_scene
+        cls = classify(scene.config, scene.com)
+        wcm = build_wcm(scene.config, scene.com, cls.witness)
+        assert trajectory_verdicts(cls, wcm, scene.body, [], [], []) == ([], [])
+
+    def test_constrained_requires_wcm(self, flat_foot_scene):
+        scene = flat_foot_scene
+        cls = classify(scene.config, scene.com)
+        with pytest.raises(ValueError, match="constraint matrix is required"):
+            trajectory_verdicts(cls, None, scene.body, [scene.com], [[0, 0, 0]], [None])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("far", [1e200, np.nan])
+    def test_unusable_com_is_rejected(self, flat_foot_scene, two_walls_scene, far):
+        for scene in (flat_foot_scene, two_walls_scene):
+            cls = classify(scene.config, scene.com)
+            wcm = build_wcm(scene.config, scene.com, cls.witness) if cls.constrained else None
+            com = scene.com.copy()
+            com[1] = far
+            with pytest.raises(ValueError, match="shift component"):
+                trajectory_verdicts(cls, wcm, scene.body, [scene.com, com], [[0, 0, 0]] * 2, [[0, 0, 0]] * 2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_wrench_is_rejected(self, two_walls_scene):
+        scene = two_walls_scene
+        cls = classify(scene.config, scene.com)
+        com = scene.com + [1e10, 0.0, 0.0]
+        with pytest.raises(ValueError, match="about the anchor is not finite"):
+            trajectory_verdicts(cls, None, scene.body, [com], [[0, 1e300, 0]], [[0, 0, 0]])
+
+
+def test_wrench_verdicts_match_one_at_a_time(flat_foot_scene):
+    scene = flat_foot_scene
+    cls = classify(scene.config, scene.com)
+    wcm = build_wcm(scene.config, scene.com, cls.witness)
+    rng = np.random.default_rng(8)
+    stacked = cls.generating.stacked()
+    wrenches = np.vstack(
+        [(stacked @ rng.exponential(size=(stacked.shape[1], 20))).T, rng.normal(size=(20, 6)) * 300]
+    )
+    feasible, margins = wrench_verdicts(wcm, wrenches, scene.com)
+    for w6, ok, margin in zip(wrenches, feasible, margins):
+        wrench = Wrench(w6[:3], w6[3:], scene.com)
+        assert margin == pytest.approx(wrench_margin(wcm, wrench), rel=1e-12, abs=1e-12)
+        assert ok == wrench_feasible(wcm, wrench)
+    assert set(feasible.tolist()) == {True, False}
+    with pytest.raises(AnchorMismatch):
+        wrench_verdicts(wcm, wrenches, scene.com + 0.1)
 
 
 class TestConcurrentUse:
