@@ -14,6 +14,17 @@ and ``A^T A``) is done by ``prepare``; the ``PreparedMatrix`` it returns then
 solves for any number of targets.  ``solve`` is exactly prepare-then-solve.
 The module keeps its historical name because the benchmark tracer wraps
 ``simplex.solve``.
+
+A solve's cost is call overhead, not arithmetic: its vectors hold one to a
+few dozen entries.  So the step-back (the inner loop that moves from ``x``
+toward a passive solution with a nonpositive entry and drops the entries that
+reach zero) runs on Python floats, where each numpy call on its few
+passive entries would cost more than the operation itself.  It performs the
+same IEEE operations in the same order as an array form would (the ratio
+test, the first-index minimum, ``x + step * (z - x)``), so its results are
+bit for bit those of the array form that the tests keep as a reference.
+Products with the matrix go through ``np.dot``, which gives the same bits
+as ``@`` here with less dispatch.
 """
 
 import math
@@ -44,51 +55,46 @@ class PreparedMatrix:
         b = np.asarray(target, dtype=float)
         if b.shape != (a.shape[0],):
             raise ValueError(f"target {b.shape} does not match matrix {a.shape}")
-        b_max = np.abs(b).max(initial=0.0)
-        if not math.isfinite(b_max):
+        entries = b.tolist()
+        if not all(map(math.isfinite, entries)):
             raise ValueError("target must be finite")
+        b_max = max(map(abs, entries), default=0.0)
         n = a.shape[1]
         x = np.zeros(n)
         if b_max == 0.0:
             return x, 0.0
         b = b / b_max
-        gram = self.gram
-        atb = a.T @ b
+        gram, at, tol = self.gram, a.T, self.tol
+        atb = np.dot(at, b)
         # The passive set, in order of entry, is order[:k]; it never holds
-        # more than n columns.
+        # more than n columns.  x is zero off it.
         order = np.empty(n, dtype=np.intp)
         k = 0
         w = atb.copy()
         for _ in range(3 * n):
             j = int(w.argmax())
-            if w[j] <= self.tol:
+            if w[j] <= tol:
                 break  # Kuhn-Tucker conditions hold
             order[k] = j
             idx = order[: k + 1]
             z = _passive_solve(gram, atb, a, b, idx)
-            if z[-1] <= 0.0:
+            zs = z.tolist()
+            if zs[-1] <= 0.0:
                 # Column j depends numerically on the passive ones: skip it.
                 w[j] = -np.inf
                 continue
-            # z holds a few entries: a float min costs less than a numpy reduction.
-            while z.size and min(z.tolist()) <= 0.0:
-                # Step from x toward z until the first passive entry hits zero.
-                xp = x[idx]
-                neg = z <= 0.0
-                ratios = xp[neg] / (xp[neg] - z[neg])
-                xp += ratios.min() * (z - xp)
-                xp[np.flatnonzero(neg)[ratios.argmin()]] = 0.0
-                x[idx] = xp
-                idx = idx[xp > 0.0]
-                z = _passive_solve(gram, atb, a, b, idx)
-            k = idx.size
-            order[:k] = idx
-            x[:] = 0.0
+            if min(zs) <= 0.0:
+                idx, z = _step_back(gram, atb, a, b, idx.tolist(), x[idx].tolist(), zs)
+                k = idx.size
+                order[:k] = idx
+                x[:] = 0.0
+            else:
+                k += 1  # the passive set only grew, so it is order[:k] already
             x[idx] = z
-            w = a.T @ (b - a @ x)
+            w = np.dot(at, b - np.dot(a, x))
             w[idx] = -np.inf
         # The 2-norms as np.linalg.norm forms them, without its overhead.
-        r = a @ x - b
+        r = np.dot(a, x) - b
         residual = math.sqrt(r.dot(r)) / math.sqrt(b.dot(b))
         return x / self.col_max * b_max, residual
 
@@ -115,6 +121,30 @@ def solve(matrix, target):
     ``|matrix @ x - target|`` and the residual is that minimum divided by
     ``|target|``.  A zero target gives ``x = 0`` and residual 0."""
     return prepare(matrix).solve(target)
+
+
+def _step_back(gram, atb, a, b, passive, xp, zs):
+    """Lawson and Hanson's inner loop: step from the passive values ``xp``
+    toward the passive solution ``zs`` until the first entry hits zero, drop
+    the zeroed entries and solve again, until the solution is positive.
+    Returns the passive columns (as an index array) and their solution."""
+    while True:
+        # The ratio test; a strict < keeps the first minimum, as argmin does.
+        step, drop = math.inf, 0
+        for i, (xi, zi) in enumerate(zip(xp, zs)):
+            if zi <= 0.0:
+                ratio = xi / (xi - zi)
+                if ratio < step:
+                    step, drop = ratio, i
+        xp = [xi + step * (zi - xi) for xi, zi in zip(xp, zs)]
+        xp[drop] = 0.0
+        passive = [i for i, xi in zip(passive, xp) if xi > 0.0]
+        xp = [xi for xi in xp if xi > 0.0]
+        idx = np.array(passive, dtype=np.intp)
+        z = _passive_solve(gram, atb, a, b, idx)
+        zs = z.tolist()
+        if not zs or not min(zs) <= 0.0:
+            return idx, z
 
 
 def _passive_solve(gram, atb, a, b, idx):

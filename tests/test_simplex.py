@@ -2,6 +2,7 @@
 enumeration and scipy's reference implementation."""
 
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import nnls
 
 from wrenchfeas import build_generating_matrices, load_scene
-from wrenchfeas.simplex import prepare, solve
+from wrenchfeas.simplex import _passive_solve, _step_back, prepare, solve
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
@@ -48,6 +49,60 @@ def scaled(a, b, x):
 def rounding_floor(a, x):
     """Floating point evaluates b - Ax only to about n eps |A||x|."""
     return a.shape[1] * np.finfo(float).eps * np.linalg.norm(np.abs(a) @ x)
+
+
+def reference_solve(a, b):
+    """The active-set loop with its step-back written on arrays (masks,
+    ``np.flatnonzero``, ``ratios.min()`` and ``argmin``), the form the
+    solver had before its step-back moved to Python floats.  Both perform
+    the same IEEE operations in the same order, so ``solve`` must match it
+    bit for bit."""
+    prepared = prepare(a)
+    a, gram, tol = prepared.scaled, prepared.gram, prepared.tol
+    b = np.asarray(b, dtype=float)
+    b_max = np.abs(b).max(initial=0.0)
+    n = a.shape[1]
+    x = np.zeros(n)
+    if b_max == 0.0:
+        return x, 0.0
+    b = b / b_max
+    atb = a.T @ b
+    order = np.empty(n, dtype=np.intp)
+    k = 0
+    w = atb.copy()
+    for _ in range(3 * n):
+        j = int(w.argmax())
+        if w[j] <= tol:
+            break
+        order[k] = j
+        idx = order[: k + 1]
+        z = _passive_solve(gram, atb, a, b, idx)
+        if z[-1] <= 0.0:
+            w[j] = -np.inf
+            continue
+        while z.size and min(z.tolist()) <= 0.0:
+            xp = x[idx]
+            neg = z <= 0.0
+            ratios = xp[neg] / (xp[neg] - z[neg])
+            xp += ratios.min() * (z - xp)
+            xp[np.flatnonzero(neg)[ratios.argmin()]] = 0.0
+            x[idx] = xp
+            idx = idx[xp > 0.0]
+            z = _passive_solve(gram, atb, a, b, idx)
+        k = idx.size
+        order[:k] = idx
+        x[:] = 0.0
+        x[idx] = z
+        w = a.T @ (b - a @ x)
+        w[idx] = -np.inf
+    r = a @ x - b
+    residual = math.sqrt(r.dot(r)) / math.sqrt(b.dot(b))
+    return x / prepared.col_max * b_max, residual
+
+
+def assert_same_bits(result, expected):
+    assert result[0].tobytes() == expected[0].tobytes()
+    assert np.float64(result[1]).tobytes() == np.float64(expected[1]).tobytes()
 
 
 def assert_kkt(a, b, x, tol=1e-9):
@@ -198,6 +253,44 @@ def test_bitwise_determinism():
     assert first[1] == second[1]
 
 
+# In the first problem one outer step drops two columns in turn: two
+# step-backs, each zeroing one entry.  In the second, one step-back zeroes
+# two entries at once, since both reach zero at the same ratio.
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([[2.0, 3.0, 1.0], [4.0, -4.0, 0.0], [2.0, 4.0, 3.0]], [0.0, 0.0, 4.0]),
+        ([[2.0, 2.0, -3.0, 4.0], [0.0, -2.0, -3.0, 3.0], [1.0, 2.0, 0.0, 0.0]], [4.0, 0.0, 2.0]),
+    ],
+    ids=["in-turn", "at-once"],
+)
+def test_step_back_drops_several_columns(a, b):
+    a, b = np.array(a), np.array(b)
+    x, residual = solve(a, b)
+    assert residual * np.linalg.norm(b) == pytest.approx(enumerate_optimum(a, b), abs=1e-12)
+    assert_kkt(a, b, x)
+    assert_same_bits(prepare(a).solve(b), (x, residual))
+    assert_same_bits(reference_solve(a, b), (x, residual))
+
+
+def test_negative_zero_target_is_zero():
+    x, residual = solve([[1.0, -2.0], [3.0, 0.5]], [-0.0, -0.0])
+    assert x.tobytes() == np.zeros(2).tobytes()
+    assert residual == 0.0
+
+
+@pytest.mark.xfail(strict=True, reason="the stop test is absolute, not relative to |r|")
+def test_stop_test_sees_a_gradient_small_only_in_absolute_terms():
+    # After the first step r = (1e-7, 0), and column 1's gradient, 3.3e-15,
+    # is below the stop tolerance 10 eps n = 4.4e-15, although relative to
+    # |r| it is 3.3e-8.  x = (4, 1) reaches the target exactly.
+    a = np.array([[0.0, 1e-7], [1.0, -3.0]])
+    b = np.array([1e-7, 1.0])
+    x, residual = solve(a, b)
+    assert residual <= 1e-12
+    assert x == pytest.approx([4.0, 1.0], rel=1e-9)
+
+
 # Entries far below 1e-200 could put the exact solution past the largest
 # double; smaller ones still reach the underflow of 2-norms.
 ELEMENTS = st.floats(-10.0, 10.0, allow_nan=False).filter(
@@ -252,3 +345,28 @@ def test_prepared_matrix_solves_each_target_as_solve_does(problem, data):
         expected_x, expected_residual = solve(a, target)
         assert np.array_equal(x, expected_x)
         assert residual == expected_residual
+
+
+
+def test_matches_array_step_back_reference():
+    # 400 seeded problems, sparse or offset columns and arbitrary targets;
+    # 31 of them run the step-back, three dropping two columns in one step.
+    rng = np.random.default_rng(2026)
+    for i in range(400):
+        m, n = int(rng.integers(1, 7)), int(rng.integers(1, 50))
+        a = rng.normal(size=(m, n))
+        a = a + 1.0 if i % 2 else a * (rng.random((m, n)) < 0.5)
+        b = rng.normal(size=m)
+        assert_same_bits(solve(a, b), reference_solve(a, b))
+
+
+def test_step_back_can_empty_the_passive_set():
+    # No problem found reaches this: each step-back keeps the objective
+    # below |b|^2 in exact arithmetic, and x = 0 attains |b|^2, so only
+    # rounding could empty the passive set.  The state is made by hand:
+    # column 1 entered beside column 0 with z = (-1, 1), and alone it fits
+    # b only with a negative coefficient.
+    prepared = prepare(np.eye(2))
+    a, b = prepared.scaled, np.array([1.0, -1.0])
+    idx, z = _step_back(prepared.gram, a.T @ b, a, b, [0, 1], [1.0, 0.0], [-1.0, 1.0])
+    assert idx.size == 0 and z.size == 0
