@@ -273,6 +273,30 @@ def test_step_back_drops_several_columns(a, b):
     assert_same_bits(reference_solve(a, b), (x, residual))
 
 
+def test_matches_array_step_back_reference():
+    # 400 seeded problems, sparse or offset columns and arbitrary targets;
+    # 31 of them run the step-back, three dropping two columns in one step.
+    rng = np.random.default_rng(2026)
+    for i in range(400):
+        m, n = int(rng.integers(1, 7)), int(rng.integers(1, 50))
+        a = rng.normal(size=(m, n))
+        a = a + 1.0 if i % 2 else a * (rng.random((m, n)) < 0.5)
+        b = rng.normal(size=m)
+        assert_same_bits(solve(a, b), reference_solve(a, b))
+
+
+def test_step_back_can_empty_the_passive_set():
+    # No problem found reaches this: each step-back keeps the objective
+    # below |b|^2 in exact arithmetic, and x = 0 attains |b|^2, so only
+    # rounding could empty the passive set.  The state is made by hand:
+    # column 1 entered beside column 0 with z = (-1, 1), and alone it fits
+    # b only with a negative coefficient.
+    prepared = prepare(np.eye(2))
+    a, b = prepared.scaled, np.array([1.0, -1.0])
+    idx, z = _step_back(prepared.gram, a.T @ b, a, b, [0, 1], [1.0, 0.0], [-1.0, 1.0])
+    assert idx.size == 0 and z.size == 0
+
+
 def test_negative_zero_target_is_zero():
     x, residual = solve([[1.0, -2.0], [3.0, 0.5]], [-0.0, -0.0])
     assert x.tobytes() == np.zeros(2).tobytes()
@@ -345,28 +369,3 @@ def test_prepared_matrix_solves_each_target_as_solve_does(problem, data):
         expected_x, expected_residual = solve(a, target)
         assert np.array_equal(x, expected_x)
         assert residual == expected_residual
-
-
-
-def test_matches_array_step_back_reference():
-    # 400 seeded problems, sparse or offset columns and arbitrary targets;
-    # 31 of them run the step-back, three dropping two columns in one step.
-    rng = np.random.default_rng(2026)
-    for i in range(400):
-        m, n = int(rng.integers(1, 7)), int(rng.integers(1, 50))
-        a = rng.normal(size=(m, n))
-        a = a + 1.0 if i % 2 else a * (rng.random((m, n)) < 0.5)
-        b = rng.normal(size=m)
-        assert_same_bits(solve(a, b), reference_solve(a, b))
-
-
-def test_step_back_can_empty_the_passive_set():
-    # No problem found reaches this: each step-back keeps the objective
-    # below |b|^2 in exact arithmetic, and x = 0 attains |b|^2, so only
-    # rounding could empty the passive set.  The state is made by hand:
-    # column 1 entered beside column 0 with z = (-1, 1), and alone it fits
-    # b only with a negative coefficient.
-    prepared = prepare(np.eye(2))
-    a, b = prepared.scaled, np.array([1.0, -1.0])
-    idx, z = _step_back(prepared.gram, a.T @ b, a, b, [0, 1], [1.0, 0.0], [-1.0, 1.0])
-    assert idx.size == 0 and z.size == 0
