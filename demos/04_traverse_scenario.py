@@ -2,28 +2,25 @@
 
 Each phase holds a different contact set (ground, a 45-degree incline, the
 wall's vertical face, its top surface).  The classification and the
-constraint matrix are computed once per phase; every trajectory sample then
-reuses the matrix through a cheap re-anchoring shift.
+constraint matrix are computed once per phase; one ``trajectory_verdicts``
+call then answers every trajectory sample of the phase at the matrix's
+anchor, with no shifted matrix built per sample.
 """
 
 import time
-
-import numpy as np
 
 from wrenchfeas import (
     build_wcm,
     bundled_path,
     classify,
     load_scenario,
-    required_wrench,
-    shift_wcm,
-    wrench_feasible,
-    wrench_margin,
+    trajectory_verdicts,
 )
 
 scenario = load_scenario(bundled_path("traverse_scenario"))
 
-print(f"{'phase':10s} {'contacts':>8s} {'classify':>10s} {'build':>10s} {'shift':>10s}  samples")
+print(f"{'phase':10s} {'contacts':>8s} {'classify':>10s} {'build':>10s} {'answer':>10s}  samples")
+answers = []
 for phase in scenario.phases:
     scene = phase.scene
     t0 = time.perf_counter()
@@ -35,29 +32,26 @@ for phase in scenario.phases:
     wcm = build_wcm(scene.config, scene.com, cls.witness)
     t_build = time.perf_counter() - t0
 
-    verdicts = []
-    shift_times = []
-    for sample in phase.samples:
-        t0 = time.perf_counter()
-        moved = shift_wcm(wcm, sample.com - wcm.anchor)
-        shift_times.append(time.perf_counter() - t0)
-        wrench = required_wrench(scene.body, sample.query(), sample.com)
-        verdicts.append(
-            "+" if wrench_feasible(moved, wrench) else "-"
-        )
+    samples = phase.samples
+    t0 = time.perf_counter()
+    verdicts, margins = trajectory_verdicts(
+        cls,
+        wcm,
+        scene.body,
+        [s.com for s in samples],
+        [s.accel for s in samples],
+        [s.l_dot for s in samples],
+    )
+    t_answer = time.perf_counter() - t0
+    answers.append(margins)
     print(
         f"{phase.name:10s} {len(scene.config):8d} "
         f"{1e3 * t_classify:8.2f}ms {1e3 * t_build:8.2f}ms "
-        f"{1e6 * np.mean(shift_times):8.1f}us  {''.join(verdicts)}"
+        f"{1e6 * t_answer / len(samples):8.1f}us  {''.join('+' if ok else '-' for ok in verdicts)}"
     )
 
 # margin along one phase as the CoM drifts
 phase = scenario.phases[1]
-scene = phase.scene
-cls = classify(scene.config, scene.com)
-wcm = build_wcm(scene.config, scene.com, cls.witness)
 print(f"\nfeasibility margin along phase '{phase.name}':")
-for sample in phase.samples:
-    moved = shift_wcm(wcm, sample.com - wcm.anchor)
-    wrench = required_wrench(scene.body, sample.query(), sample.com)
-    print(f"  t = {sample.t:.1f}s  com = {np.round(sample.com, 3)}  margin = {wrench_margin(moved, wrench):8.3f}")
+for sample, margin in zip(phase.samples, answers[1]):
+    print(f"  t = {sample.t:.1f}s  com = {sample.com.round(3)}  margin = {margin:8.3f}")

@@ -257,16 +257,17 @@ def cmd_scenario(args) -> int:
     )
     if args.csv:
         timings = ("classify_us", "wcm_build_us", "mean_shift_us")
-        by_name = {row["phase"]: row for row in phase_rows}
+        # The timeline lists each phase's samples in turn, phase by phase.
+        owners = (row for row in phase_rows for _ in range(row["n_samples"]))
         rows = [
             [
                 entry["phase"],
                 entry["t"],
                 int(entry["feasible"]),
                 "" if entry["margin"] is None else entry["margin"],
-                *(by_name[entry["phase"]][key] or "" for key in timings),
+                *(owner[key] or "" for key in timings),
             ]
-            for entry in timeline
+            for entry, owner in zip(timeline, owners)
         ]
         _write_csv(args.csv, ["phase", "t", "feasible", "margin", *timings], rows)
     return 0 if all_feasible else 1

@@ -24,6 +24,9 @@ from .errors import LpFailure
 from .simplex import PreparedMatrix
 
 MEMBERSHIP_TOL = 1e-9
+# The band of every verdict read from a constraint matrix: a wrench w with
+# margin at least -MEMBERSHIP_EPS * (1 + |w|) is feasible.
+MEMBERSHIP_EPS = 1e-9
 # Relative width of the boundary band in which a constraint-matrix verdict and
 # a membership verdict may differ: |margin| <= BOUNDARY_BAND * (1 + |w|).
 BOUNDARY_BAND = 1e-7
@@ -112,12 +115,14 @@ def compare_wcm_oracle(
         if len(samples) < n_samples:
             samples.append(hi_pair)
 
+    # The W side for every sample at once: one (S x 6)(6 x k) product.
+    wrenches = np.array([w6 for w6, _ in samples]).reshape(-1, 6)
+    margins = (wrenches @ wcm.rows.T).min(axis=1).tolist()
+    scales = (1.0 + np.linalg.norm(wrenches, axis=1)).tolist()
     agree_feasible = agree_infeasible = disagree = excluded = 0
     examples = []
-    for w6, oracle_feasible in samples:
-        margin = float(np.min(wcm.rows @ w6))
-        scale = 1.0 + np.linalg.norm(w6)
-        wcm_feasible = margin >= -1e-9 * scale
+    for (w6, oracle_feasible), margin, scale in zip(samples, margins, scales):
+        wcm_feasible = margin >= -MEMBERSHIP_EPS * scale
         if wcm_feasible == oracle_feasible:
             if oracle_feasible:
                 agree_feasible += 1

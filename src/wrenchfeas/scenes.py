@@ -34,7 +34,7 @@ field.
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -44,7 +44,6 @@ from .contacts import (
     Contact,
     ContactConfiguration,
     FrictionCone,
-    MotionQuery,
     RigidBodyParams,
     _unchecked,
 )
@@ -64,11 +63,6 @@ class TrajectorySample:
     com: np.ndarray
     accel: np.ndarray
     l_dot: np.ndarray | None = None
-    _query: MotionQuery | None = field(default=None, init=False, repr=False, compare=False)
-
-    def query(self) -> MotionQuery:
-        # Built once at ingestion; a sample made by hand is validated per call.
-        return self._query or MotionQuery(self.accel, self.l_dot)
 
 
 @dataclass(frozen=True)
@@ -254,13 +248,10 @@ def scenario_from_dict(data, base_dir: Path, where: str = "scenario") -> Scenari
         # One T x 3 x 3 array: com, accel and l_dot (zero when omitted) per sample.
         block = np.array(rows, dtype=float).reshape(-1, 3, 3)
         block.flags.writeable = False
-        samples = []
-        for t, (c, a, m), l_dot in zip(times, block, l_dots):
-            m = None if l_dot is None else m
-            query = _unchecked(MotionQuery, com_accel=a, angular_momentum_rate=m)
-            samples.append(
-                _unchecked(TrajectorySample, t=t, com=c, accel=a, l_dot=m, _query=query)
-            )
+        samples = [
+            _unchecked(TrajectorySample, t=t, com=c, accel=a, l_dot=None if l_dot is None else m)
+            for t, (c, a, m), l_dot in zip(times, block, l_dots)
+        ]
         phases.append(ScenarioPhase(name, scene, tuple(samples)))
     return Scenario(tuple(phases))
 

@@ -24,7 +24,8 @@ point maps linearly to the same wrench about the old one.  That makes moving
 the reference point vastly cheaper than rebuilding.  A whole path of CoM
 samples needs no shifted matrix at all: ``trajectory_verdicts`` maps each
 sample's wrench back to the build anchor and answers the path in one batched
-product.
+product.  It is the one query path: ``acceleration_verdict`` is that call on
+a single sample at the anchor.
 """
 
 import math
@@ -43,16 +44,14 @@ from .contacts import (
     _required_moment,
     _unchecked,
     build_generating_matrices,
-    required_wrench,
     rotation_aligning_z,
 )
 from .errors import WitnessOnBoundary
 from .feasibility import Classification
 from .hull import convex_hull
-from .oracle import wrench_membership_lp
+from .oracle import MEMBERSHIP_EPS, wrench_membership_lp
 
 POSITIVITY_EPS = 1e-10
-MEMBERSHIP_EPS = 1e-9
 # Largest shift component: the shifted rows' squared norms stay finite below it.
 MAX_SHIFT = 1e150
 _IDENTITY6 = np.eye(6)
@@ -215,21 +214,6 @@ def wrench_verdicts(wcm: WrenchConstraintMatrix, wrenches, about):
     return _within_band(margins, norms), margins
 
 
-def _free_moment(classification: Classification, l_dot) -> bool:
-    """The rule for a query that pins no angular momentum rate, for both query
-    paths: an unconstrained configuration admits any moment, so such a query
-    is feasible with no margin; a constrained one is checked at zero moment,
-    the fill of ``contacts._required_moment`` (and so of ``required_wrench``)."""
-    return l_dot is None and not classification.constrained
-
-
-def _require_wcm(classification: Classification, wcm):
-    if classification.constrained and wcm is None:
-        raise ValueError(
-            "constrained configuration: a wrench constraint matrix is required"
-        )
-
-
 def acceleration_verdict(
     classification: Classification,
     wcm: WrenchConstraintMatrix | None,
@@ -240,24 +224,19 @@ def acceleration_verdict(
     """Can the contacts support the queried motion of the center of mass?
     Returns the verdict and the required wrench's margin against ``wcm``.
 
-    Constrained configurations check that wrench against ``wcm``.
-    Unconstrained ones admit every total force, so a query that does not pin
-    the angular momentum rate is feasible, with no margin; a pinned one goes
-    to the membership oracle, since arbitrary force does not by itself give
-    an arbitrary moment.  ``wcm``, or else the classification's generators,
-    must be anchored at ``com``.  ``trajectory_verdicts`` answers a whole path
-    of samples the same way.
+    ``wcm``, or else the classification's generators, must be anchored at
+    ``com``; the answer is then ``trajectory_verdicts`` on that one sample,
+    by the same rules and to the same bit.
     """
-    _require_wcm(classification, wcm)
-    if _free_moment(classification, query.angular_momentum_rate):
-        return True, None
-    if classification.constrained:
-        wrench = required_wrench(body, query, com)
-        margin = wrench_margin(wcm, wrench)
-        return _within_band(margin, _norm(wrench)), margin
-    gen = classification.generating
-    _check_anchor(gen.anchor, np.asarray(com, dtype=float), "classification")
-    return wrench_membership_lp(gen, required_wrench(body, query, com)).feasible, None
+    constrained = classification.constrained
+    anchored = wcm if constrained else classification.generating
+    if anchored is not None:  # a missing W is trajectory_verdicts' error
+        what = "constraint matrix" if constrained else "classification"
+        _check_anchor(anchored.anchor, np.asarray(com, dtype=float), what)
+    (feasible,), (margin,) = trajectory_verdicts(
+        classification, wcm, body, [com], [query.com_accel], [query.angular_momentum_rate]
+    )
+    return feasible, margin
 
 
 def acceleration_feasible(classification, wcm, body, query, com) -> bool:
@@ -273,11 +252,19 @@ def trajectory_verdicts(
     accels,
     l_dots,
 ) -> tuple[list, list]:
-    """``acceleration_verdict`` for every sample of a path: CoM ``coms[t]``,
+    """Can the contacts support every sample of a path: CoM ``coms[t]``,
     acceleration ``accels[t]`` and angular momentum rate ``l_dots[t]`` (None
-    when not pinned), answered at one anchor, that of ``wcm`` when the
-    configuration is constrained, else that of the classification's
-    generators.  Returns the verdicts and the margins as lists.
+    when not pinned)?  Returns the verdicts and the required wrenches'
+    margins against ``wcm`` as lists.
+
+    Constrained configurations check each required wrench against ``wcm``.
+    Unconstrained ones admit every total force, so a sample that does not
+    pin the angular momentum rate is feasible, with no margin; a pinned one
+    goes to the membership oracle, since arbitrary force does not by itself
+    give an arbitrary moment.  (Constrained, an unpinned rate is checked at
+    zero moment, the fill of ``contacts._required_moment``.)  The answer is
+    given at one anchor, that of ``wcm`` when the configuration is
+    constrained, else that of the classification's generators.
 
     No matrix is shifted and no generators are built per sample.  Each
     sample's required wrench about its CoM B is mapped to the same physical
@@ -288,16 +275,20 @@ def trajectory_verdicts(
     Unconstrained, each sample that pins the moment is one membership solve
     on the generators, which are prepared once for all of them.
     """
-    _require_wcm(classification, wcm)
+    constrained = classification.constrained
+    if constrained and wcm is None:
+        raise ValueError(
+            "constrained configuration: a wrench constraint matrix is required"
+        )
     count = len(l_dots)
     if len(coms) != count or len(accels) != count:
         raise ValueError("coms, accels and l_dots must have one entry per sample")
     verdicts, margins = [True] * count, [None] * count
-    pinned = [t for t in range(count) if not _free_moment(classification, l_dots[t])]
+    pinned = [t for t in range(count) if constrained or l_dots[t] is not None]
     if not pinned:
         return verdicts, margins
     gen = classification.generating
-    anchor = wcm.anchor if classification.constrained else gen.anchor
+    anchor = wcm.anchor if constrained else gen.anchor
     ax, ay, az = anchor.tolist()
     (gx, gy, gz), mass = body.gravity.tolist(), body.mass
     moments = [_required_moment(l_dot) for l_dot in l_dots]
@@ -321,7 +312,7 @@ def trajectory_verdicts(
         skews += (0.0, -dz, dy, dz, 0.0, -dx, -dy, dx, 0.0)
     mapped = np.array(mapped).reshape(-1, 6)
     mapped.flags.writeable = False
-    if not classification.constrained:
+    if not constrained:
         for t, w6 in zip(pinned, mapped):
             wrench = _unchecked(Wrench, force=w6[:3], moment=w6[3:], about=anchor)
             verdicts[t] = wrench_membership_lp(gen, wrench).feasible

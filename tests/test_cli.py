@@ -166,7 +166,6 @@ class TestCheck:
         "negative-shift-seed",
     ],
 )
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_out_of_range_flag_is_an_input_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -194,7 +193,6 @@ def test_report_bytes_match_streamed_json_dump(capsys, argv):
     assert out == streamed.getvalue() + "\n"
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_far_shift_names_the_shifted_matrix(capsys):
     code, out, err = run(capsys, "shift", "flat_foot", "--delta", "1e200,0,0", "--samples", "2")
     assert code == 2 and out == ""
@@ -315,6 +313,25 @@ class TestScenario:
         assert rows[0][0] == "phase"
         assert len(rows) == 1 + len(report["timeline"])
 
+    def test_csv_rows_carry_their_own_phase_timings(self, capsys, tmp_path):
+        # Two phases under one name: each row's timings are its own phase's.
+        sample = {"t": 0.0, "com": [0.0, 0.0, 0.8], "accel": [0.0, 0.0, 0.0]}
+        phases = [
+            {"name": "p", "scene": json.load(open(bundled_path(scene))), "com_trajectory": [sample]}
+            for scene in ("flat_foot", "two_walls")
+        ]
+        path, csv_path = tmp_path / "same_name.json", tmp_path / "same_name.csv"
+        path.write_text(json.dumps({"phases": phases}))
+        _, report, _ = run_json(capsys, "scenario", str(path), "--csv", str(csv_path))
+        with open(csv_path, newline="") as handle:
+            header, *rows = list(csv.reader(handle))
+        timings = ("classify_us", "wcm_build_us", "mean_shift_us")
+        assert [
+            [float(cell) if cell else None for cell in row[-3:]] for row in rows
+        ] == [[phase[key] for key in timings] for phase in report["phases"]]
+        assert header[-3:] == list(timings)
+        assert rows[0][-2] != "" and rows[1][-2] == ""
+
     def test_traverse_shift_much_cheaper_than_build(self, capsys):
         _, report, _ = run_json(
             capsys, "scenario", str(bundled_path("traverse_scenario"))
@@ -392,10 +409,7 @@ class TestScenario:
         assert code == check_code
         assert entry["feasible"] == (check["verdict"] == "feasible")
         assert report["phases"][0]["classification"] == check["classification"]
-        if check["min_margin"] is None:
-            assert entry["margin"] is None
-        else:
-            assert entry["margin"] == pytest.approx(check["min_margin"], rel=1e-12, abs=1e-12)
+        assert entry["margin"] == check["min_margin"]
 
 
     def test_overflowing_sample_force_is_an_input_error(self, capsys, tmp_path):
@@ -410,7 +424,6 @@ class TestScenario:
         assert out == ""
         assert "overflow.json.phases[0].com_trajectory[0].accel" in err
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("name", ["flat_foot", "two_walls"])
     def test_far_sample_is_an_input_error(self, capsys, tmp_path, name):
         raw = json.load(open(bundled_path(name)))

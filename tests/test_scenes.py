@@ -1,6 +1,5 @@
 """Scene/scenario files: parsing, validation messages, bundled data."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from wrenchfeas import Contact, FrictionCone, bundled_path, classify, load_scenario, load_scene
 from wrenchfeas.errors import SceneFormatError
 from wrenchfeas.scenes import (
-    TrajectorySample,
     _number,
     _numbers,
     rotation_from_normal,
@@ -358,28 +356,16 @@ class TestTrajectoryIngestion:
 
     def test_large_finite_force_accepted(self):
         scenario = scenario_from_dict(self.scenario({"accel": [1e300, 0.0, -1e300]}), None)
-        assert scenario.phases[1].samples[0].query().com_accel.tolist() == [1e300, 0.0, -1e300]
+        assert scenario.phases[1].samples[0].accel.tolist() == [1e300, 0.0, -1e300]
 
-    def test_samples_hold_one_validated_query(self):
+    def test_samples_hold_the_ingested_values(self):
         scenario = scenario_from_dict(
             self.scenario({}, {"l_dot": [1.0, 2, 3]}, {"accel": [0.5, 0, -1]}), None
         )
         samples = scenario.phases[1].samples
         for sample in samples:
-            query = sample.query()
-            assert sample.query() is query
-            assert query.com_accel is sample.accel
-            assert query.angular_momentum_rate is sample.l_dot
-            assert not query.com_accel.flags.writeable
+            assert not sample.accel.flags.writeable
         assert [s.l_dot is None for s in samples] == [True, False, True]
         assert samples[1].l_dot.tolist() == [1.0, 2.0, 3.0]
         assert samples[2].accel.tolist() == [0.5, 0.0, -1.0]
         assert [s.t for s in samples] == [0.0, 0.1, 0.2]
-        moved = dataclasses.replace(samples[2], accel=np.array([1.0, 2.0, 3.0]))
-        assert moved.query().com_accel.tolist() == [1.0, 2.0, 3.0]
-
-    def test_directly_built_sample_validates_its_query(self):
-        sample = TrajectorySample(0.0, np.zeros(3), [0, 0, 1], [1, 2, 3])
-        assert sample.query().angular_momentum_rate.tolist() == [1.0, 2.0, 3.0]
-        with pytest.raises(ValueError, match="com_accel"):
-            TrajectorySample(0.0, np.zeros(3), [np.nan, 0, 0]).query()

