@@ -134,8 +134,7 @@ def cmd_analyze(args) -> int:
 def cmd_check(args) -> int:
     scene = load_scene(_resolve(args.scene))
     query = MotionQuery(args.accel, args.ldot)
-    with np.errstate(over="ignore"):  # an overflow is reported as bad input
-        _flag_checked("--accel", lambda: required_wrench(scene.body, query, scene.com))
+    _flag_checked("--accel", lambda: required_wrench(scene.body, query, scene.com))
     cls, wcm, _, _ = _classify_and_build(scene)
     feasible, margin = acceleration_verdict(cls, wcm, scene.body, query, scene.com)
     _emit(

@@ -343,7 +343,13 @@ def required_wrench(body: RigidBodyParams, query: MotionQuery, com) -> Wrench:
     inputs were validated when the body and query were built.
     """
     com = _as_vec3(com, "com")
-    force = _freeze_finite(body.mass * (query.com_accel - body.gravity), "force")
+    # On floats, numpy's elementwise operations in the same order, so the
+    # same bits; an overflow gives inf here with no numpy warning.
+    (ax, ay, az), (gx, gy, gz), mass = query.com_accel.tolist(), body.gravity.tolist(), body.mass
+    fx, fy, fz = mass * (ax - gx), mass * (ay - gy), mass * (az - gz)
+    if not (math.isfinite(fx) and math.isfinite(fy) and math.isfinite(fz)):
+        raise ValueError("force must have finite components")
+    force = _freeze(np.array((fx, fy, fz)))
     moment = _required_moment(query.angular_momentum_rate)
     return _unchecked(Wrench, force=force, moment=moment, about=com)
 

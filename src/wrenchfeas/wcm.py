@@ -41,6 +41,7 @@ from .contacts import (
     Wrench,
     _as_vec3,
     _check_anchor,
+    _freeze,
     _required_moment,
     _unchecked,
     build_generating_matrices,
@@ -75,18 +76,21 @@ class ModifiedGenerators:
 @dataclass(frozen=True)
 class WrenchConstraintMatrix:
     """Row matrix ``rows`` with unit-norm rows: a wrench about ``anchor`` is
-    achievable iff ``rows @ [force; moment] >= 0`` (to tolerance)."""
+    achievable iff ``rows @ [force; moment] >= 0`` (to tolerance).
+
+    The constructor keeps read-only copies of both arrays, so the caller's
+    arrays stay writable and a later write to them moves nothing here.
+    """
 
     rows: np.ndarray
     anchor: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
+        rows = np.array(self.rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != 6 or rows.shape[0] < 1:
             raise ValueError(f"rows must be (k, 6) with k >= 1, got {rows.shape}")
-        rows.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "anchor", np.asarray(self.anchor, dtype=float))
+        object.__setattr__(self, "rows", _freeze(rows))
+        object.__setattr__(self, "anchor", _freeze(np.array(self.anchor, dtype=float)))
 
     @property
     def n_rows(self) -> int:
@@ -144,7 +148,8 @@ def build_wcm(config: ContactConfiguration, com, v) -> WrenchConstraintMatrix:
     frame[3:, 3:] = mod.rotation
     world_rows = rows @ frame
     world_rows /= np.linalg.norm(world_rows, axis=1, keepdims=True)
-    return WrenchConstraintMatrix(world_rows, gen.anchor)
+    # gen.anchor is read-only and owned by gen, which lives only in this call.
+    return _unchecked(WrenchConstraintMatrix, rows=_freeze(world_rows), anchor=gen.anchor)
 
 
 def shift_wcm(wcm: WrenchConstraintMatrix, delta) -> WrenchConstraintMatrix:
@@ -156,9 +161,14 @@ def shift_wcm(wcm: WrenchConstraintMatrix, delta) -> WrenchConstraintMatrix:
     ``delta`` beyond ``MAX_SHIFT`` is rejected: the shifted rows' norms could
     overflow.
     """
-    delta = _as_vec3(delta, "delta")
+    delta = np.asarray(delta, dtype=float)
+    if delta.shape != (3,):
+        raise ValueError(f"delta must be a 3-vector, got shape {delta.shape}")
     dx, dy, dz = delta.tolist()
-    if max(abs(dx), abs(dy), abs(dz)) > MAX_SHIFT:
+    # One scalar test: NaN fails it as surely as a component beyond the bound.
+    if not (abs(dx) <= MAX_SHIFT and abs(dy) <= MAX_SHIFT and abs(dz) <= MAX_SHIFT):
+        if not (math.isfinite(dx) and math.isfinite(dy) and math.isfinite(dz)):
+            raise ValueError("delta must have finite components")
         raise ValueError(_overflow_message(dx, dy, dz))
     # The identity with skew(delta) in the lower-left block.
     transfer = _IDENTITY6.copy()
@@ -169,7 +179,8 @@ def shift_wcm(wcm: WrenchConstraintMatrix, delta) -> WrenchConstraintMatrix:
     # Row norms by a matrix-vector product: np.einsum costs more, most of all
     # on the first call after other work has evicted its code from cache.
     rows /= np.sqrt((rows * rows) @ _ONES6)[:, None]
-    return WrenchConstraintMatrix(rows, wcm.anchor + delta)
+    anchor = wcm.anchor + delta
+    return _unchecked(WrenchConstraintMatrix, rows=_freeze(rows), anchor=_freeze(anchor))
 
 
 def _overflow_message(*delta: float) -> str:
@@ -184,7 +195,9 @@ def _overflow_message(*delta: float) -> str:
 def wrench_margin(wcm: WrenchConstraintMatrix, wrench: Wrench) -> float:
     """Smallest row activation; nonnegative (to tolerance) means achievable."""
     _check_anchor(wcm.anchor, wrench.about, "constraint matrix")
-    return float((wcm.rows @ wrench.as_array()).min())
+    # np.dot of a matrix and a vector gives the bits of ``@``, at less cost
+    # than stacking the wrench into an array first.
+    return float(np.dot(wcm.rows, wrench.force.tolist() + wrench.moment.tolist()).min())
 
 
 def _within_band(margin, norm):

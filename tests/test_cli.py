@@ -333,11 +333,16 @@ class TestScenario:
         assert rows[0][-2] != "" and rows[1][-2] == ""
 
     def test_traverse_shift_much_cheaper_than_build(self, capsys):
-        _, report, _ = run_json(
-            capsys, "scenario", str(bundled_path("traverse_scenario"))
-        )
-        for phase in report["phases"]:
-            assert phase["mean_shift_us"] <= phase["wcm_build_us"] / 50.0
+        # Each phase's medians over five runs: one run's single build timing
+        # is at the mercy of whatever else shares the CPU.
+        runs = [
+            run_json(capsys, "scenario", str(bundled_path("traverse_scenario")))[1]["phases"]
+            for _ in range(5)
+        ]
+        for phase in zip(*runs):
+            build_us = np.median([run["wcm_build_us"] for run in phase])
+            shift_us = np.median([run["mean_shift_us"] for run in phase])
+            assert shift_us <= build_us / 50.0, phase[0]["phase"]
 
     def test_unconstrained_phase_with_pinned_moment_uses_oracle(
         self, capsys, tmp_path

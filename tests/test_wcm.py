@@ -245,11 +245,13 @@ class TestShift:
         assert disagreements == 0
 
     @pytest.mark.parametrize(
-        "delta", [[np.nan, 0, 0], [0, 0, np.inf], [0.1, 0.2], [[0, 0, 0]]]
+        "delta", [[np.nan, 0, 0], [0, 0, np.inf], [0.1, 0.2], [[0, 0, 0]], [0, 2e150, 0]]
     )
     def test_bad_delta_rejected(self, built, delta):
         _, _, wcm = built
-        with pytest.raises(ValueError, match="delta"):
+        # A finite 3-vector fails only by a component beyond MAX_SHIFT.
+        finite = np.shape(delta) == (3,) and np.isfinite(delta).all()
+        with pytest.raises(ValueError, match="exceeds 1e\\+150" if finite else "delta"):
             shift_wcm(wcm, delta)
 
     def test_shifted_rows_unit_and_read_only(self, built):
@@ -405,6 +407,66 @@ def seeded_path(rng, com, n, reach=0.3, free_every=3):
     accels = rng.normal(size=(n, 3)) * 3.0
     l_dots = [None if t % free_every == 0 else rng.normal(size=3) * 3.0 for t in range(n)]
     return coms, accels, l_dots
+
+
+def reference_transfer(delta):
+    """The 6x6 map of a wrench about A + delta to the same wrench about A:
+    the identity with skew(delta) in its lower-left block."""
+    dx, dy, dz = delta
+    transfer = np.eye(6)
+    transfer[3:, :3] = [[0.0, -dz, dy], [dz, 0.0, -dx], [-dy, dx, 0.0]]
+    return transfer
+
+
+@pytest.mark.parametrize("name", CONSTRAINED_SCENES)
+def test_per_sample_path_matches_reference_bit_for_bit(name):
+    # required_wrench, shift_wcm and wrench_margin/wrench_feasible against
+    # the array expressions they stand for, byte for byte, on seeded samples.
+    scene = load_scene(bundled_path(name))
+    cls = classify(scene.config, scene.com)
+    wcm = build_wcm(scene.config, scene.com, cls.witness)
+    body = scene.body
+    rng = np.random.default_rng(CONSTRAINED_SCENES.index(name) + 20)
+    for _ in range(40):
+        delta = rng.uniform(-0.3, 0.3, size=3)
+        accel, l_dot = rng.normal(size=(2, 3)) * 3.0
+        com = wcm.anchor + delta
+        shifted = shift_wcm(wcm, delta)
+        wrench = required_wrench(body, MotionQuery(accel, l_dot), com)
+
+        rows = wcm.rows @ reference_transfer(delta)
+        rows = rows / np.sqrt((rows * rows) @ np.ones(6))[:, None]
+        force = body.mass * (accel - body.gravity)
+        w6 = np.concatenate([force, l_dot])
+        margin = (rows @ w6).min()
+        assert shifted.rows.tobytes() == rows.tobytes()
+        assert shifted.anchor.tobytes() == (wcm.anchor + delta).tobytes()
+        assert wrench.force.tobytes() == force.tobytes()
+        assert wrench_margin(shifted, wrench).hex() == float(margin).hex()
+        expected = margin >= -wcm_module.MEMBERSHIP_EPS * (1.0 + np.linalg.norm(w6))
+        assert wrench_feasible(shifted, wrench) == expected
+
+
+def test_constructor_copies_and_freezes_its_arrays(flat_foot_scene):
+    # The caller's arrays stay writable and later writes to them move
+    # nothing the anchor guard trusts; no value is validated, so a NaN
+    # anchor still makes a matrix (test_nan_anchor_is_a_mismatch).
+    scene = flat_foot_scene
+    cls = classify(scene.config, scene.com)
+    built = build_wcm(scene.config, scene.com, cls.witness)
+    rows, anchor = built.rows.copy(), scene.com.copy()
+    wcm = WrenchConstraintMatrix(rows, anchor)
+    assert rows.flags.writeable and anchor.flags.writeable
+    assert not wcm.rows.flags.writeable and not wcm.anchor.flags.writeable
+    rows[0] = 5.0
+    anchor[0] = 5.0
+    assert np.array_equal(wcm.rows, built.rows)
+    assert np.array_equal(wcm.anchor, scene.com)
+    assert wrench_feasible(wcm, Wrench([0, 0, 1], [0, 0, 0], scene.com))
+    with pytest.raises(AnchorMismatch):
+        wrench_feasible(wcm, Wrench([0, 0, 1], [0, 0, 0], anchor))
+    for made in (built, shift_wcm(built, [0.1, 0.0, -0.1])):
+        assert not made.rows.flags.writeable and not made.anchor.flags.writeable
 
 
 class TestTrajectoryVerdicts:
