@@ -305,18 +305,6 @@ def _cone_edges(cone: FrictionCone) -> np.ndarray:
     return _freeze(cone_generators(cone))
 
 
-def skew(r) -> np.ndarray:
-    """Matrix S with S @ x == cross(r, x) for every x."""
-    r = np.asarray(r, dtype=float)
-    return np.array(
-        [
-            [0.0, -r[2], r[1]],
-            [r[2], 0.0, -r[0]],
-            [-r[1], r[0], 0.0],
-        ]
-    )
-
-
 def build_generating_matrices(
     config: ContactConfiguration, com
 ) -> GeneratingMatrices:
@@ -360,25 +348,33 @@ def _required_moment(l_dot):
     return _ZERO3 if l_dot is None else l_dot
 
 
+def rotation_from_normal(normal) -> np.ndarray:
+    """Complete a surface normal to a full contact rotation.
+
+    The local x-axis is the world x-axis projected onto the tangent plane,
+    falling back to world y when the normal is within 1e-3 of +/-x; this
+    fixes the pyramid edge orientation so scenes rebuild identically.
+    """
+    n = np.asarray(normal, dtype=float)
+    norm = math.sqrt(n.dot(n))  # np.linalg.norm's formula, without its overhead
+    if norm <= 1e-12:
+        raise ZeroVector("normal must be a nonzero vector")
+    n = n / norm
+    # |n -/+ x|^2 = 2 - 2|n_x|: nearer +/-x, projecting x cancels too many digits.
+    near_x = 1.0 - abs(n[0]) < 5e-7
+    reference = np.array([0.0, 1.0, 0.0] if near_x else [1.0, 0.0, 0.0])
+    tangent = reference - (reference @ n) * n
+    tangent /= math.sqrt(tangent.dot(tangent))
+    # Columns tangent, n x tangent (np.cross's products, on floats) and n.
+    (t0, t1, t2), (n0, n1, n2) = tangent.tolist(), n.tolist()
+    b0, b1, b2 = n1 * t2 - n2 * t1, n2 * t0 - n0 * t2, n0 * t1 - n1 * t0
+    return np.array([[t0, b0, n0], [t1, b1, n1], [t2, b2, n2]])
+
+
 def rotation_aligning_z(v) -> np.ndarray:
     """Rotation R with R @ (v/|v|) == (0, 0, 1), orthonormal, det +1.
 
-    Rodrigues' formula about the axis ``v x z``; near the -z antipode, where
-    that loses precision, the result is composed with a half-turn about x so
-    the exact antipode maps to the half-turn itself.
+    The transpose of ``rotation_from_normal(v)``: its angle about ``v`` is
+    arbitrary, and the wrench constraint matrix does not depend on it.
     """
-    v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n <= 1e-12:
-        raise ZeroVector("cannot align a zero vector with the z-axis")
-    vhat = v / n
-    if vhat[2] < -0.99:
-        flip = np.diag([1.0, -1.0, -1.0])
-        return _rodrigues_to_z(flip @ vhat) @ flip
-    return _rodrigues_to_z(vhat)
-
-
-def _rodrigues_to_z(vhat: np.ndarray) -> np.ndarray:
-    k = np.array([vhat[1], -vhat[0], 0.0])
-    kmat = skew(k)
-    return np.eye(3) + kmat + (kmat @ kmat) / (1.0 + vhat[2])
+    return rotation_from_normal(v).T

@@ -46,6 +46,7 @@ from .contacts import (
     FrictionCone,
     RigidBodyParams,
     _unchecked,
+    rotation_from_normal,
 )
 from .errors import SceneFormatError
 
@@ -75,29 +76,6 @@ class ScenarioPhase:
 @dataclass(frozen=True)
 class Scenario:
     phases: tuple
-
-
-def rotation_from_normal(normal) -> np.ndarray:
-    """Complete a surface normal to a full contact rotation.
-
-    The local x-axis is the world x-axis projected onto the tangent plane,
-    falling back to world y when the normal is within 1e-3 of +/-x; this
-    fixes the pyramid edge orientation so scenes rebuild identically.
-    """
-    n = np.asarray(normal, dtype=float)
-    norm = math.sqrt(n.dot(n))  # np.linalg.norm's formula, without its overhead
-    if norm <= 1e-12:
-        raise ValueError("normal must be a nonzero vector")
-    n = n / norm
-    # |n -/+ x|^2 = 2 - 2|n_x|: nearer +/-x, projecting x cancels too many digits.
-    near_x = 1.0 - abs(n[0]) < 5e-7
-    reference = np.array([0.0, 1.0, 0.0] if near_x else [1.0, 0.0, 0.0])
-    tangent = reference - (reference @ n) * n
-    tangent /= math.sqrt(tangent.dot(tangent))
-    # Columns tangent, n x tangent (np.cross's products, on floats) and n.
-    (t0, t1, t2), (n0, n1, n2) = tangent.tolist(), n.tolist()
-    b0, b1, b2 = n1 * t2 - n2 * t1, n2 * t0 - n0 * t2, n0 * t1 - n1 * t0
-    return np.array([[t0, b0, n0], [t1, b1, n1], [t2, b2, n2]])
 
 
 def _require(mapping, key, where):

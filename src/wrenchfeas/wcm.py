@@ -221,7 +221,9 @@ def wrench_verdicts(wcm: WrenchConstraintMatrix, wrenches, about):
     ``about``, given as the rows of a T x 6 array ``[force | moment]``, from
     one product.  Returns a boolean array and a float array."""
     _check_anchor(wcm.anchor, _as_vec3(about, "about"), "constraint matrix")
-    wrenches = np.asarray(wrenches, dtype=float).reshape(-1, 6)
+    wrenches = np.asarray(wrenches, dtype=float)
+    if wrenches.ndim != 2 or wrenches.shape[1] != 6:
+        raise ValueError(f"wrenches must be a (T, 6) array, got shape {wrenches.shape}")
     margins = (wrenches @ wcm.rows.T).min(axis=1)
     norms = np.sqrt((wrenches * wrenches) @ _ONES6)
     return _within_band(margins, norms), margins
@@ -297,9 +299,6 @@ def trajectory_verdicts(
     if len(coms) != count or len(accels) != count:
         raise ValueError("coms, accels and l_dots must have one entry per sample")
     verdicts, margins = [True] * count, [None] * count
-    pinned = [t for t in range(count) if constrained or l_dots[t] is not None]
-    if not pinned:
-        return verdicts, margins
     gen = classification.generating
     anchor = wcm.anchor if constrained else gen.anchor
     ax, ay, az = anchor.tolist()
@@ -307,13 +306,21 @@ def trajectory_verdicts(
     moments = [_required_moment(l_dot) for l_dot in l_dots]
     coms, accels, moments = np.array([coms, accels, moments], dtype=float).tolist()
     # Per sample, on floats: required_wrench's force (the same operations),
-    # its moment, the wrench mapped to the anchor, the 2-norm the band reads,
-    # and skew(delta), the lower-left block of shift_wcm's transfer T(delta).
-    mapped, norms, skews = [], [], []
-    for t in pinned:
+    # checked with the CoM on every sample; then, on each sample that is
+    # mapped, its moment, the wrench mapped to the anchor, the 2-norm the band
+    # reads, and skew(delta), the lower-left block of shift_wcm's T(delta).
+    pinned, mapped, norms, skews = [], [], [], []
+    for t in range(count):
         (cx, cy, cz), (ux, uy, uz), (mx, my, mz) = coms[t], accels[t], moments[t]
         fx, fy, fz = mass * (ux - gx), mass * (uy - gy), mass * (uz - gz)
         dx, dy, dz = cx - ax, cy - ay, cz - az
+        if not all(map(math.isfinite, (dx, dy, dz))):
+            raise ValueError(_overflow_message(dx, dy, dz))
+        if not (math.isfinite(fx) and math.isfinite(fy) and math.isfinite(fz)):
+            raise ValueError("force must have finite components")
+        if not (constrained or l_dots[t] is not None):
+            continue  # feasible: an unconstrained set admits every force
+        pinned.append(t)
         if not (abs(dx) <= MAX_SHIFT and abs(dy) <= MAX_SHIFT and abs(dz) <= MAX_SHIFT):
             raise ValueError(_overflow_message(dx, dy, dz))
         w6 = (fx, fy, fz, mx + (dy * fz - dz * fy))
@@ -323,6 +330,8 @@ def trajectory_verdicts(
         mapped += w6
         norms.append(math.hypot(fx, fy, fz, mx, my, mz))
         skews += (0.0, -dz, dy, dz, 0.0, -dx, -dy, dx, 0.0)
+    if not pinned:
+        return verdicts, margins
     mapped = np.array(mapped).reshape(-1, 6)
     mapped.flags.writeable = False
     if not constrained:

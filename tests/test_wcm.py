@@ -1,5 +1,7 @@
 """Constraint-matrix pipeline: modified generators, build, shift, queries."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -35,9 +37,11 @@ from wrenchfeas.wcm import (
 
 from conftest import (
     flat_foot_config,
+    line_foot_config,
     random_constrained_config,
     random_rotation,
     rotate_config,
+    single_contact_config,
 )
 
 HALF = 0.8 * np.sqrt(2.0) / 2.0
@@ -561,6 +565,20 @@ class TestTrajectoryVerdicts:
             com[1] = far
             with pytest.raises(ValueError, match="shift component"):
                 trajectory_verdicts(cls, wcm, scene.body, [scene.com, com], [[0, 0, 0]] * 2, [[0, 0, 0]] * 2)
+        # A free-moment sample on an unconstrained set is not mapped, yet its
+        # CoM and force must still be finite; a finite far CoM stays feasible.
+        scene = two_walls_scene
+        cls = classify(scene.config, scene.com)
+        com = scene.com.copy()
+        com[1] = far
+        if np.isnan(far):
+            with pytest.raises(ValueError, match="shift component is not finite"):
+                trajectory_verdicts(cls, None, scene.body, [com], [[0, 0, 0]], [None])
+        else:
+            assert trajectory_verdicts(cls, None, scene.body, [com], [[0, 0, 0]], [None]) == ([True], [None])
+        for accel in ([np.nan, 0, 0], [0, 0, np.inf]):
+            with pytest.raises(ValueError, match="force must have finite components"):
+                trajectory_verdicts(cls, None, scene.body, [scene.com], [accel], [None])
 
     def test_overflowing_wrench_is_rejected(self, two_walls_scene):
         scene = two_walls_scene
@@ -587,6 +605,9 @@ def test_wrench_verdicts_match_one_at_a_time(flat_foot_scene):
     assert set(feasible.tolist()) == {True, False}
     with pytest.raises(AnchorMismatch):
         wrench_verdicts(wcm, wrenches, scene.com + 0.1)
+    for bad in (np.ones((4, 3)), np.ones(6), np.ones((2, 6, 1))):
+        with pytest.raises(ValueError, match=re.escape(f"(T, 6) array, got shape {bad.shape}")):
+            wrench_verdicts(wcm, bad, scene.com)
 
 
 class TestConcurrentUse:
@@ -686,3 +707,72 @@ class TestFrameEquivariance:
             assert wrench_feasible(wcm, wrench) == wrench_feasible(
                 wcm_r, rotated_wrench
             )
+
+
+def _build_with_hull_counts(config, com, witness, monkeypatch):
+    """``build_wcm`` plus its hull's facet and equality counts, read off the
+    ``wcm.convex_hull`` call."""
+    seen = []
+    hull = wcm_module.convex_hull
+    monkeypatch.setattr(wcm_module, "convex_hull", lambda p: seen.append(hull(p)) or seen[-1])
+    matrix = build_wcm(config, com, witness)
+    monkeypatch.setattr(wcm_module, "convex_hull", hull)
+    (result,) = seen
+    return matrix, len(result.facets), len(result.equalities)
+
+
+def _span_projector(rows):
+    if len(rows) == 0:
+        return np.zeros((6, 6))
+    _, s, vt = np.linalg.svd(rows)
+    basis = vt[: int(np.sum(s > 1e-9 * s[0]))]
+    return basis.T @ basis
+
+
+_SPIN_CASES = [(name, None) for name in CONSTRAINED_SCENES] + [
+    ("single_contact", single_contact_config),
+    ("line_foot", line_foot_config),
+]
+
+
+@pytest.mark.parametrize("name, make", _SPIN_CASES, ids=[c[0] for c in _SPIN_CASES])
+def test_w_does_not_depend_on_witness_frame_spin(name, make, monkeypatch):
+    # The witness frame is fixed only up to a turn about the witness; any
+    # such turn must give the same W: the same facet rows as a set, the same
+    # equality span, and the same verdicts away from the band.
+    if make is None:
+        scene = load_scene(bundled_path(name))
+        config, com = scene.config, scene.com
+    else:
+        config, com = make(), np.array([0.01, -0.02, 0.6])
+    cls = classify(config, com)
+    assert cls.constrained
+    base, k, m = _build_with_hull_counts(config, com, cls.witness, monkeypatch)
+    rng = np.random.default_rng(8)
+    stacked = cls.generating.stacked()
+    wrenches = np.vstack(
+        [(stacked @ rng.exponential(size=(stacked.shape[1], 100))).T, rng.normal(size=(100, 6)) * 300]
+    )
+    base_feasible, base_margins = wrench_verdicts(base, wrenches, com)
+    original = wcm_module.rotation_aligning_z
+    for theta in (0.4, 1.9, -2.7):
+        c, s = np.cos(theta), np.sin(theta)
+        spin = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        monkeypatch.setattr(wcm_module, "rotation_aligning_z", lambda v: spin @ original(v))
+        spun, k_spun, m_spun = _build_with_hull_counts(config, com, cls.witness, monkeypatch)
+        assert (spun.n_rows, k_spun, m_spun) == (base.n_rows, k, m)
+        # Facet rows and the normal-force row, as sets.
+        ours = np.vstack([base.rows[:k], base.rows[-1:]])
+        theirs = np.vstack([spun.rows[:k], spun.rows[-1:]])
+        distance = np.linalg.norm(ours[:, None, :] - theirs[None, :, :], axis=2)
+        assert distance.min(axis=1).max() <= 1e-12
+        assert distance.min(axis=0).max() <= 1e-12
+        equalities = slice(k, k + 2 * m)
+        assert np.allclose(
+            _span_projector(spun.rows[equalities]), _span_projector(base.rows[equalities]), atol=1e-12
+        )
+        feasible, margins = wrench_verdicts(spun, wrenches, com)
+        band = 1e-7 * (1.0 + np.linalg.norm(wrenches, axis=1))
+        clear = (np.abs(margins) > band) & (np.abs(base_margins) > band)
+        assert clear.sum() >= 100
+        assert np.array_equal(feasible[clear], base_feasible[clear])
