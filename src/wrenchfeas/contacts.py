@@ -26,6 +26,9 @@ from .simplex import PreparedMatrix, prepare
 
 ORTHONORMAL_TOL = 1e-10
 ANCHOR_TOL = 1e-12
+# Largest component of a direction (a normal, a witness): its squared norm
+# stays finite below it.
+MAX_DIRECTION = 1e150
 _ZERO3 = np.zeros(3)
 _ZERO3.flags.writeable = False
 
@@ -348,17 +351,34 @@ def _required_moment(l_dot):
     return _ZERO3 if l_dot is None else l_dot
 
 
+def _direction(value, name: str):
+    """``value`` as a float 3-vector, and its norm, once it is checked to be
+    a direction: finite, no component beyond ``MAX_DIRECTION`` and a norm
+    above 1e-12.  Otherwise a ``ValueError`` naming ``name``, raised before
+    any arithmetic that could overflow."""
+    v = _as_vec3(value, name)
+    largest = max(map(abs, v.tolist()))
+    if largest > MAX_DIRECTION:
+        raise ValueError(
+            f"a {name} component of {largest:g} exceeds {MAX_DIRECTION:g}, "
+            "beyond which its squared norm overflows"
+        )
+    norm = math.sqrt(v.dot(v))  # np.linalg.norm's formula, without its overhead
+    if norm <= 1e-12:
+        raise ZeroVector(f"{name} must be a nonzero vector")
+    return v, norm
+
+
 def rotation_from_normal(normal) -> np.ndarray:
     """Complete a surface normal to a full contact rotation.
 
     The local x-axis is the world x-axis projected onto the tangent plane,
     falling back to world y when the normal is within 1e-3 of +/-x; this
-    fixes the pyramid edge orientation so scenes rebuild identically.
+    fixes the pyramid edge orientation so scenes rebuild identically.  The
+    normal must be a finite 3-vector with no component beyond
+    ``MAX_DIRECTION`` and a norm above 1e-12.
     """
-    n = np.asarray(normal, dtype=float)
-    norm = math.sqrt(n.dot(n))  # np.linalg.norm's formula, without its overhead
-    if norm <= 1e-12:
-        raise ZeroVector("normal must be a nonzero vector")
+    n, norm = _direction(normal, "normal")
     n = n / norm
     # |n -/+ x|^2 = 2 - 2|n_x|: nearer +/-x, projecting x cancels too many digits.
     near_x = 1.0 - abs(n[0]) < 5e-7

@@ -49,12 +49,15 @@ def classify(config: ContactConfiguration, com) -> Classification:
     """Build the generating matrices at ``com`` and classify the configuration."""
     gen = build_generating_matrices(config, com)
     u = gen.force_generators
-    unit = u / np.linalg.norm(u, axis=0)
-    a, _ = solve(np.vstack([unit, np.ones(u.shape[1])]), _E4)
+    # E = [U; 1^T] in one array, U's columns scaled by np.linalg.norm's formula.
+    e = np.empty((4, u.shape[1]))
+    unit = np.divide(u, np.sqrt((u * u).sum(axis=0)), out=e[:3])
+    e[3] = 1.0
+    a, _ = solve(e, _E4)
     # The residual r = E a - e_4 has r[:3] = unit @ a and, at the optimum,
     # r[3] = -|r|^2, so x = -r[:3] / r[3] points along unit @ a.
     x = unit @ a
-    size = np.max(np.abs(x))
+    size = max(map(abs, x.tolist()))
     witness, s_star = None, 0.0
     if size > 0.0:
         witness = x / size

@@ -7,7 +7,9 @@ facet inequalities (sense ``normal . p >= offset``) with the equalities that
 pin the subspace.  Together they describe the hull exactly in the ambient
 space, which downstream code needs because single-contact and symmetric
 scenes genuinely produce flat point clouds.  Facet rows are qhull's own
-hyperplanes, deduplicated exactly: no tolerance decides which facets merge.
+hyperplanes, deduplicated exactly by one sort: no tolerance decides which
+facets merge.  They come in the order qhull first reports each hyperplane;
+no canonical sort follows.
 """
 
 import math
@@ -81,9 +83,11 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
     """The rows of a 2-D float array without exact copies, each kept at its
     first occurrence, in input order.  One sort of each row's bytes as a
     single key finds the copies: adding 0.0 turns -0.0 into 0.0, so two rows'
-    bytes are equal exactly when their values are.  np.unique returns each
-    key's first occurrence; sorting those indices restores the input order."""
-    keys = (rows + 0.0).view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    bytes are equal exactly when their values are.  A bytes key sorts faster
+    than a void one; it ignores trailing NUL bytes, but keys of one width
+    that differ anywhere still differ.  np.unique returns each key's first
+    occurrence; sorting those indices restores the input order."""
+    keys = (rows + 0.0).view(f"S{rows.itemsize * rows.shape[1]}")
     first = np.unique(keys.ravel(), return_index=True)[1]
     first.sort()
     return rows[first]
@@ -97,7 +101,8 @@ def convex_hull(points) -> HullResult:
     coincident points is a valid dimension-zero hull, not an error.  qhull
     triangulates its output (scipy always passes ``Qt``), so a facet arrives
     once per simplex, each copy carrying the facet's hyperplane bit for bit;
-    exact duplicates are dropped, keeping each row's first occurrence.
+    exact duplicates are dropped, keeping each row's first occurrence.  The
+    facets come in that first-occurrence order, qhull's, not sorted.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
@@ -109,32 +114,34 @@ def convex_hull(points) -> HullResult:
     dim = pts.shape[1]
 
     rank, basis, complement, centroid = _affine_split(pts)
-    # Equalities hold with either orientation; fix the sign so the first
-    # non-negligible component is positive.
-    first = np.argmax(np.abs(complement) > 1e-12, axis=1)
-    signs = np.sign(complement[np.arange(len(complement)), first])[:, None]
-    equalities = signs * np.column_stack([complement, complement @ centroid])
+    if rank == dim:
+        equalities = np.empty((0, dim + 1))
+    else:
+        # Equalities hold with either orientation; fix the sign so the first
+        # non-negligible component is positive.
+        first = np.argmax(np.abs(complement) > 1e-12, axis=1)
+        signs = np.sign(complement[np.arange(len(complement)), first])[:, None]
+        equalities = signs * np.column_stack([complement, complement @ centroid])
     if rank == 0:
         return HullResult(np.empty((0, dim + 1)), equalities, 0, dim)
 
+    # Rows [normal | off] meaning normal . y + off <= 0 inside, qhull's sense;
+    # the lift below divides by minus the norm, which flips them to >=.
     projected = (pts - centroid) @ basis.T
     if rank == 1:
         y = projected[:, 0]
-        sub = np.array([[1.0, y.min()], [-1.0, -y.max()]])
+        sub = np.array([[-1.0, y.min()], [1.0, -y.max()]])
     else:
         try:
             hull = ConvexHull(projected)
         except QhullError as exc:
             raise HullFailure(f"qhull failed on projected cloud: {exc}") from exc
-        # qhull rows satisfy normal . y + off <= 0 inside; flip to >= sense.
-        sub = hull.equations * np.append(-np.ones(rank), 1.0)
         # Drop copies before the lift below: there, BLAS may round two copies
         # of one row differently.
-        sub = _unique_rows(sub)
+        sub = _unique_rows(hull.equations)
 
     normals = sub[:, :-1] @ basis
-    norms = np.linalg.norm(normals, axis=1)
-    normals /= norms[:, None]
+    norms = np.sqrt((normals * normals).sum(axis=1))  # np.linalg.norm's formula
+    normals /= -norms[:, None]
     facets = np.column_stack([normals, sub[:, -1] / norms + normals @ centroid])
-    facets = facets[np.lexsort(np.round(facets, 12).T[::-1])]
     return HullResult(facets, equalities, rank, dim)

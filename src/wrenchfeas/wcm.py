@@ -41,6 +41,7 @@ from .contacts import (
     Wrench,
     _as_vec3,
     _check_anchor,
+    _direction,
     _freeze,
     _required_moment,
     _unchecked,
@@ -101,26 +102,35 @@ def modified_generators(gen: GeneratingMatrices, v) -> ModifiedGenerators:
     """Rotate generators into the witness frame and rescale each column so
     its normal component is one.
 
-    Requires the witness to be strictly inside every dual cone; a touching
-    witness would divide by (nearly) zero and signals that the classification
-    step needs a second look.
+    The witness must be a finite nonzero 3-vector with no component beyond
+    ``contacts.MAX_DIRECTION`` (else ``ValueError``), strictly inside every
+    dual cone; a touching witness would divide by (nearly) zero and signals
+    that the classification step needs a second look.
     """
-    v = np.asarray(v, dtype=float)
-    v_norm = np.linalg.norm(v)
+    v, v_norm = _direction(v, "witness")
     rot = rotation_aligning_z(v)
-    dots = v @ gen.force_generators
-    col_norms = np.linalg.norm(gen.force_generators, axis=0)
+    f = gen.force_generators
+    dots = v @ f
+    col_norms = np.sqrt((f * f).sum(axis=0))  # np.linalg.norm's formula
     if np.any(dots <= POSITIVITY_EPS * v_norm * col_norms):
         worst = int(np.argmin(dots / np.maximum(col_norms, 1e-300)))
         raise WitnessOnBoundary(
             f"witness is not strictly inside the dual cone (column {worst}: "
             f"projection {dots[worst]:.3e})"
         )
-    scale = v_norm / dots
-    force = (rot @ gen.force_generators) * scale
-    moment = (rot @ gen.moment_generators) * scale
-    force[2, :] = 1.0  # exact by construction; the hull step relies on it
-    return ModifiedGenerators(force, moment, rot)
+    # One product rotates force and moment rows alike: the zero blocks of
+    # the frame add exact zeros, so each entry keeps the 3 x n product's bits.
+    stacked = (_frame(rot) @ gen.stacked()) * (v_norm / dots)
+    stacked[2] = 1.0  # exact by construction; the hull step relies on it
+    return ModifiedGenerators(stacked[:3], stacked[3:], rot)
+
+
+def _frame(rot: np.ndarray) -> np.ndarray:
+    """The 6 x 6 block diagonal of ``rot``: the rotation of a wrench."""
+    frame = np.zeros((6, 6))
+    frame[:3, :3] = rot
+    frame[3:, 3:] = rot
+    return frame
 
 
 def build_wcm(config: ContactConfiguration, com, v) -> WrenchConstraintMatrix:
@@ -143,11 +153,9 @@ def build_wcm(config: ContactConfiguration, com, v) -> WrenchConstraintMatrix:
     rows[k + m : -1] = -rows[k : k + m]
     rows[-1] = _NORMAL_FORCE_ROW
 
-    frame = np.zeros((6, 6))
-    frame[:3, :3] = mod.rotation
-    frame[3:, 3:] = mod.rotation
-    world_rows = rows @ frame
-    world_rows /= np.linalg.norm(world_rows, axis=1, keepdims=True)
+    world_rows = rows @ _frame(mod.rotation)
+    # np.linalg.norm's formula, without its overhead.
+    world_rows /= np.sqrt((world_rows * world_rows).sum(axis=1))[:, None]
     # gen.anchor is read-only and owned by gen, which lives only in this call.
     return _unchecked(WrenchConstraintMatrix, rows=_freeze(world_rows), anchor=gen.anchor)
 

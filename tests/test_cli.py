@@ -87,6 +87,24 @@ class TestAnalyze:
         assert code == 2
         assert "mass must be positive" in err
 
+    def test_huge_normal_exits_2_without_numpy_warning(self, tmp_path):
+        # An input error naming the field, with no numpy overflow warning on
+        # the way and no blame on the rotation built from it.
+        scene = json.loads(bundled_path("flat_foot").read_text(encoding="utf-8"))
+        scene["contacts"][0].pop("rotation", None)
+        scene["contacts"][0]["normal"] = [0.0, 0.0, 1e200]
+        path = tmp_path / "huge_normal.json"
+        path.write_text(json.dumps(scene), encoding="utf-8")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "wrenchfeas.cli", "analyze", str(path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 2, out.stderr
+        assert "contacts[0].normal: a normal component of 1e+200" in out.stderr
+        assert "Warning" not in out.stderr
+
     def test_nonexistent_file(self, capsys):
         code, _, err = run(capsys, "analyze", "does_not_exist.json")
         assert code == 2

@@ -333,10 +333,16 @@ def raw_rows(pts):
     return ConvexHull(projected).equations * np.append(-np.ones(rank), 1.0)
 
 
+def canonical(facets):
+    """Facet rows in one order fixed by their values: a lexsort of the rows
+    rounded to 12 digits.  ``convex_hull`` returns them in qhull's order."""
+    return facets[np.lexsort(np.round(facets, 12).T[::-1])]
+
+
 def greedy_facets(pts):
     """qhull's raw rows for ``pts``, in the frame ``convex_hull`` hulls in,
     and the facets ``convex_hull`` would return if ``greedy_merge`` chose
-    the rows it keeps (lifted and sorted as it does)."""
+    the rows it keeps (lifted as it does), in ``canonical`` order."""
     rank, basis, _, centroid = hull._affine_split(pts)
     projected = (pts - centroid) @ basis.T
     raw = raw_rows(pts)
@@ -346,7 +352,7 @@ def greedy_facets(pts):
     norms = np.linalg.norm(normals, axis=1)
     normals /= norms[:, None]
     facets = np.column_stack([normals, sub[:, -1] / norms + normals @ centroid])
-    return raw, facets[np.lexsort(np.round(facets, 12).T[::-1])]
+    return raw, canonical(facets)
 
 
 def stance_cloud(config, com):
@@ -386,7 +392,7 @@ def test_merge_matches_greedy_on_sixteen_contact_stance():
     pts = stance_cloud(ContactConfiguration(tuple(contacts)), [0.0, 0.0, 0.8])
     raw, expected = greedy_facets(pts)
     assert len(raw) > 1000 and len(expected) < len(raw)
-    assert np.array_equal(convex_hull(pts).facets, expected)
+    assert np.array_equal(canonical(convex_hull(pts).facets), expected)
 
 
 def test_merge_matches_greedy_on_seeded_stances():
@@ -405,7 +411,7 @@ def test_merge_matches_greedy_on_seeded_stances():
         if hull._affine_split(pts)[0] < 2:
             continue  # no qhull call, nothing to dedup
         raw, expected = greedy_facets(pts)
-        assert np.array_equal(convex_hull(pts).facets, expected), k
+        assert np.array_equal(canonical(convex_hull(pts).facets), expected), k
         hulled += 1
         merged += len(expected) < len(raw)
     assert hulled >= 200 and merged >= 150
@@ -457,3 +463,26 @@ def test_unique_rows_treats_signed_zeros_as_equal():
     kept = hull._unique_rows(rows)
     assert kept.tobytes() == lexsort_unique_rows(rows).tobytes()
     assert kept.tobytes() == rows[[0, 2, 5]].tobytes()
+
+
+def test_unique_rows_tells_apart_rows_that_differ_next_to_zero_bytes():
+    # The bytes key ignores trailing NUL bytes.  Rows of one width whose bytes
+    # differ anywhere, even beside runs of zero bytes, stay distinct: a zero
+    # last entry against a denormal one (one low byte set) and against one
+    # whose top byte alone is set, and the same in the first column.
+    top_byte = np.frombuffer(bytes(7) + b"\x01", "<f8")[0]
+    rows = np.array(
+        [
+            [1.0, 2.0, 0.0],
+            [1.0, 2.0, 5e-324],
+            [1.0, 2.0, top_byte],
+            [0.0, 2.0, 1.0],
+            [5e-324, 2.0, 1.0],
+            [1.0, 2.0, -0.0],
+            [1.0, 2.0, 5e-324],
+            [-0.0, 2.0, 1.0],
+        ]
+    )
+    kept = hull._unique_rows(rows)
+    assert kept.tobytes() == rows[:5].tobytes()
+    assert kept.tobytes() == lexsort_unique_rows(rows).tobytes()

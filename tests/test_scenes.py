@@ -67,6 +67,28 @@ class TestRotationFromNormal:
         with pytest.raises(ValueError):
             rotation_from_normal([0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "normal, message",
+        [
+            ([np.nan, 0.0, 1.0], "normal must have finite components"),
+            ([0.0, np.inf, 1.0], "normal must have finite components"),
+            ([0.0, 0.0, -np.inf], "normal must have finite components"),
+            ([0.0, 0.0, 1e200], r"a normal component of 1e\+200 exceeds 1e\+150"),
+            ([-1.1e150, 0.0, 1.0], r"a normal component of 1.1e\+150 exceeds"),
+        ],
+    )
+    def test_unusable_normal_rejected(self, normal, message):
+        # Rejected before any arithmetic, so no NaN frame and no overflow
+        # warning can come out.
+        with pytest.raises(ValueError, match=message):
+            rotation_from_normal(normal)
+
+    def test_normal_at_the_component_bound_is_accepted(self):
+        # Its squared norm, 1e300, is finite; the frame is the unit normal's.
+        assert np.array_equal(
+            rotation_from_normal([0.0, 0.0, 1e150]), rotation_from_normal([0.0, 0.0, 1.0])
+        )
+
     @pytest.mark.parametrize("offset", [1e-7, 1e-6, 1.1e-6, 1e-5, 9e-4, 1.1e-3, 1e-2])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_near_x_normals_give_valid_contacts(self, offset, sign):
@@ -134,6 +156,10 @@ class TestSceneParsing:
                 "contacts[0].mu",
             ),
             (lambda d: d["contacts"][0].update(mu=True), "contacts[0].mu must be"),
+            (
+                lambda d: d["contacts"][0].update(normal=[0.0, 0.0, 1e200]),
+                "contacts[0].normal: a normal component of 1e+200 exceeds",
+            ),
             (
                 lambda d: d["contacts"][0].update(mu="0.8"),
                 "contacts[0].mu must be a number",

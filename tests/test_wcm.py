@@ -116,8 +116,48 @@ class TestModifiedGenerators:
         with pytest.raises(WitnessOnBoundary):
             modified_generators(identity_contact_gen, [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "v, message",
+        [
+            ([0.0, 0.0, np.nan], "witness must have finite components"),
+            ([0.0, 0.0, np.inf], "witness must have finite components"),
+            ([0.0, 0.0, 0.0], "witness must be a nonzero vector"),
+            ([0.0, 0.0, 1e200], r"a witness component of 1e\+200 exceeds 1e\+150"),
+            ([0.0, 0.0, 1.0, 0.0], r"witness must be a 3-vector, got shape \(4,\)"),
+        ],
+    )
+    def test_unusable_witness_rejected(self, identity_contact_gen, v, message):
+        # Each is a ValueError naming the witness, raised before any
+        # arithmetic could give NaN generators or an overflow warning.
+        with pytest.raises(ValueError, match=message):
+            modified_generators(identity_contact_gen, v)
+
+    def test_witness_at_the_component_bound_is_a_direction(self, identity_contact_gen):
+        big = modified_generators(identity_contact_gen, [0.0, 0.0, 1e150])
+        unit = modified_generators(identity_contact_gen, [0.0, 0.0, 1.0])
+        assert np.array_equal(big.force_generators, unit.force_generators)
+        assert np.array_equal(big.moment_generators, unit.moment_generators)
+
 
 class TestBuildWcm:
+    @pytest.mark.parametrize(
+        "name, n_rows",
+        [
+            ("flat_foot", 17),
+            ("traverse_phase1", 115),
+            ("traverse_phase2", 121),
+            ("traverse_phase3", 161),
+            ("traverse_phase4", 43),
+            ("traverse_phase5", 121),
+            ("traverse_phase6", 51),
+        ],
+    )
+    def test_row_count_on_bundled_scenes(self, name, n_rows):
+        # The facet rows come in qhull's order; their number is fixed.
+        scene = load_scene(bundled_path(name))
+        cls = classify(scene.config, scene.com)
+        assert build_wcm(scene.config, scene.com, cls.witness).n_rows == n_rows
+
     def test_single_contact_at_anchor_closed_form(self):
         # Moments must vanish and the tangential force is boxed by the
         # pyramid: |fx| <= half * fz, |fy| <= half * fz, fz >= 0.
