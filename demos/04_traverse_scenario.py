@@ -9,6 +9,8 @@ anchor, with no shifted matrix built per sample.
 
 import time
 
+import numpy as np
+
 from wrenchfeas import (
     build_wcm,
     bundled_path,
@@ -32,26 +34,20 @@ for phase in scenario.phases:
     wcm = build_wcm(scene.config, scene.com, cls.witness)
     t_build = time.perf_counter() - t0
 
-    samples = phase.samples
     t0 = time.perf_counter()
     verdicts, margins = trajectory_verdicts(
-        cls,
-        wcm,
-        scene.body,
-        [s.com for s in samples],
-        [s.accel for s in samples],
-        [s.l_dot for s in samples],
+        cls, wcm, scene.body, phase.coms, phase.accels, phase.l_dots
     )
     t_answer = time.perf_counter() - t0
     answers.append(margins)
     print(
         f"{phase.name:10s} {len(scene.config):8d} "
         f"{1e3 * t_classify:8.2f}ms {1e3 * t_build:8.2f}ms "
-        f"{1e6 * t_answer / len(samples):8.1f}us  {''.join('+' if ok else '-' for ok in verdicts)}"
+        f"{1e6 * t_answer / len(verdicts):8.1f}us  {''.join('+' if ok else '-' for ok in verdicts)}"
     )
 
 # margin along one phase as the CoM drifts
 phase = scenario.phases[1]
 print(f"\nfeasibility margin along phase '{phase.name}':")
-for sample, margin in zip(phase.samples, answers[1]):
-    print(f"  t = {sample.t:.1f}s  com = {sample.com.round(3)}  margin = {margin:8.3f}")
+for t, com, margin in zip(phase.times, phase.coms, answers[1]):
+    print(f"  t = {t:.1f}s  com = {np.round(com, 3)}  margin = {margin:8.3f}")

@@ -19,13 +19,14 @@ import csv
 import functools
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from .contacts import MotionQuery, build_generating_matrices, required_wrench
+from .contacts import MotionQuery, build_generating_matrices
 from .errors import SceneFormatError
 from .feasibility import classify
 from .oracle import BOUNDARY_BAND
@@ -39,6 +40,8 @@ from .wcm import (
 )
 
 WARMUP_REPS = 10
+_VECTOR_FLAGS = ("--accel", "--ldot", "--delta")
+_NEGATIVE = re.compile(r"-[0-9.]")
 
 
 def _triple(text: str) -> np.ndarray:
@@ -134,9 +137,10 @@ def cmd_analyze(args) -> int:
 def cmd_check(args) -> int:
     scene = load_scene(_resolve(args.scene))
     query = MotionQuery(args.accel, args.ldot)
-    _flag_checked("--accel", lambda: required_wrench(scene.body, query, scene.com))
     cls, wcm, _, _ = _classify_and_build(scene)
-    feasible, margin = acceleration_verdict(cls, wcm, scene.body, query, scene.com)
+    feasible, margin = _flag_checked(
+        "--accel", lambda: acceleration_verdict(cls, wcm, scene.body, query, scene.com)
+    )
     _emit(
         {
             "command": "check",
@@ -211,25 +215,17 @@ def cmd_scenario(args) -> int:
     for phase in scenario.phases:
         scene = phase.scene
         cls, wcm, t_classify, t_build = _classify_and_build(scene)
-        samples = phase.samples
-        coms, accels = [s.com for s in samples], [s.accel for s in samples]
-        l_dots = [s.l_dot for s in samples]
+        columns = phase.coms, phase.accels, phase.l_dots
         (verdicts, margins), t_answer = _timed(
             lambda: _flag_checked(
                 f"phase {phase.name}",
-                lambda: trajectory_verdicts(cls, wcm, scene.body, coms, accels, l_dots),
+                lambda: trajectory_verdicts(cls, wcm, scene.body, *columns),
             )
         )
         all_feasible &= all(verdicts)
         timeline.extend(
-            {
-                "phase": phase.name,
-                "t": sample.t,
-                "com": sample.com.tolist(),
-                "feasible": feasible,
-                "margin": margin,
-            }
-            for sample, feasible, margin in zip(samples, verdicts, margins)
+            {"phase": phase.name, "t": t, "com": list(com), "feasible": feasible, "margin": margin}
+            for t, com, feasible, margin in zip(phase.times, phase.coms, verdicts, margins)
         )
         phase_rows.append(
             {
@@ -241,9 +237,9 @@ def cmd_scenario(args) -> int:
                 # The batched answer at W's anchor (re-anchoring and verdicts),
                 # per sample; null when the phase has no W.
                 "mean_shift_us": (
-                    1e6 * t_answer / len(samples) if wcm is not None and samples else None
+                    1e6 * t_answer / len(phase.times) if wcm is not None and phase.times else None
                 ),
-                "n_samples": len(samples),
+                "n_samples": len(phase.times),
             }
         )
     _emit(
@@ -355,7 +351,27 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _is_vector_flag(token: str) -> bool:
+    """``--accel``, ``--ldot`` or ``--delta``, or a prefix of one, such as
+    ``--acc``, that argparse expands to it."""
+    return len(token) > 2 and any(flag.startswith(token) for flag in _VECTOR_FLAGS)
+
+
+def _joined_vector_flags(argv) -> list:
+    """``argv`` with each vector flag written as ``--flag=value`` when its
+    value starts with a minus sign: argparse takes ``-0.05,0,0`` for an
+    option, since it is not a plain negative number."""
+    joined = []
+    for token in argv:
+        if joined and _is_vector_flag(joined[-1]) and _NEGATIVE.match(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
+    argv = _joined_vector_flags(sys.argv[1:] if argv is None else argv)
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

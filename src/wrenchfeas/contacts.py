@@ -29,6 +29,10 @@ ANCHOR_TOL = 1e-12
 # Largest component of a direction (a normal, a witness): its squared norm
 # stays finite below it.
 MAX_DIRECTION = 1e150
+# Largest friction coefficient: beyond it the pyramid's edges lie so near the
+# tangent plane that classification no longer resolves the cone (a single
+# contact reads unconstrained from about 1e10, and overflows at 1e200).
+MAX_MU = 1e6
 _ZERO3 = np.zeros(3)
 _ZERO3.flags.writeable = False
 
@@ -92,7 +96,8 @@ class FrictionCone:
 
     ``mu`` is the friction coefficient and ``sides`` the number of pyramid
     edges.  Three sides is the smallest full-dimensional approximation.
-    ``mu == 0`` is accepted and degenerates the pyramid to the normal ray.
+    ``mu == 0`` is accepted and degenerates the pyramid to the normal ray;
+    ``mu`` above ``MAX_MU`` is rejected.
     """
 
     mu: float
@@ -101,6 +106,11 @@ class FrictionCone:
     def __post_init__(self):
         if not (math.isfinite(self.mu) and self.mu >= 0.0):
             raise ValueError("mu must be finite and >= 0")
+        if self.mu > MAX_MU:
+            raise ValueError(
+                f"mu of {self.mu:g} exceeds {MAX_MU:g}, "
+                "beyond which the contact's friction cone cannot be classified"
+            )
         if int(self.sides) != self.sides or self.sides < 3:
             raise ValueError("sides must be an integer >= 3")
         object.__setattr__(self, "sides", int(self.sides))

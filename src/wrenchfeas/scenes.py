@@ -15,7 +15,8 @@ A scene file describes one static contact configuration::
 
 Each contact gives either a ``normal`` (the direction the surface pushes; a
 full rotation is completed deterministically) or a 9-entry row-major
-``rotation``, never both.  A scenario file sequences phases, each with a scene
+``rotation``, never both, and a friction coefficient ``mu`` in [0, 1e6]
+(``contacts.MAX_MU``).  A scenario file sequences phases, each with a scene
 (inline object or a path relative to the scenario file) and a center-of-mass
 trajectory::
 
@@ -24,11 +25,14 @@ trajectory::
                                      "l_dot": [...]}, ...]}]}
 
 ``l_dot`` may be omitted from a trajectory sample to leave the angular
-momentum rate unspecified.  A scene's weight, ``mass * gravity``, must be
-finite; an overflow is an error naming its ``mass``.  A sample's force,
-``mass * (accel - gravity)``, must be finite too; an overflow is an error
-naming the sample's ``accel``.  All validation errors name the offending
-field.
+momentum rate unspecified.  A loaded phase holds its trajectory as the four
+columns ``wcm.trajectory_verdicts`` takes: ``times``, ``coms``, ``accels``
+and ``l_dots`` (None where a sample omits it), one entry per sample.
+
+A scene's weight, ``mass * gravity``, must be finite; an overflow is an error
+naming its ``mass``.  A sample's force, ``mass * (accel - gravity)``, must be
+finite too; an overflow is an error naming the sample's ``accel``.  All
+validation errors name the offending field.
 """
 
 import json
@@ -45,7 +49,6 @@ from .contacts import (
     ContactConfiguration,
     FrictionCone,
     RigidBodyParams,
-    _unchecked,
     rotation_from_normal,
 )
 from .errors import SceneFormatError
@@ -59,18 +62,18 @@ class Scene:
 
 
 @dataclass(frozen=True)
-class TrajectorySample:
-    t: float
-    com: np.ndarray
-    accel: np.ndarray
-    l_dot: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class ScenarioPhase:
+    """A scene and its CoM trajectory, one entry per sample in each column:
+    ``times``, and ``coms`` and ``accels`` as float triples, and ``l_dots``,
+    a float triple or None where the sample leaves the rate free.  These are
+    the columns ``wcm.trajectory_verdicts`` takes."""
+
     name: str
     scene: Scene
-    samples: tuple
+    times: tuple
+    coms: tuple
+    accels: tuple
+    l_dots: tuple
 
 
 @dataclass(frozen=True)
@@ -97,13 +100,13 @@ def _number(value, where, positive=False):
 
 
 def _numbers(value, length, where):
-    # ``value`` itself, once checked; a failing element raises _number's message.
+    # ``value`` as a tuple of floats; a failing element raises _number's message.
     if not isinstance(value, (list, tuple)) or len(value) != length:
         raise SceneFormatError(f"{where} must be an array of {length} numbers")
     for i, x in enumerate(value):
         if not ((type(x) is float or type(x) is int) and abs(x) <= sys.float_info.max):
             _number(x, f"{where}[{i}]")
-    return value
+    return tuple(map(float, value))
 
 
 def scene_from_dict(data, where: str = "scene") -> Scene:
@@ -205,7 +208,7 @@ def scenario_from_dict(data, base_dir: Path, where: str = "scenario") -> Scenari
         if not isinstance(raw_traj, list):
             raise SceneFormatError(f"{tloc} must be an array")
         mass, gravity = scene.body.mass, scene.body.gravity.tolist()
-        times, rows, l_dots = [], [], []
+        times, coms, accels, l_dots = [], [], [], []
         for k, entry in enumerate(raw_traj):
             sloc = f"{tloc}[{k}]"
             if not isinstance(entry, dict):
@@ -214,23 +217,17 @@ def scenario_from_dict(data, base_dir: Path, where: str = "scenario") -> Scenari
             if times and t <= times[-1]:
                 raise SceneFormatError(f"{tloc}: times must be strictly increasing")
             times.append(t)
-            com = _numbers(_require(entry, "com", sloc), 3, f"{sloc}.com")
+            coms.append(_numbers(_require(entry, "com", sloc), 3, f"{sloc}.com"))
             accel = _numbers(_require(entry, "accel", sloc), 3, f"{sloc}.accel")
             # required_wrench's force, in the same float operations numpy does
             if not all(math.isfinite(mass * (a - g)) for a, g in zip(accel, gravity)):
                 raise SceneFormatError(f"{sloc}.accel: force must have finite components")
+            accels.append(accel)
             has_l_dot = "l_dot" in entry
-            l_dot = _numbers(entry["l_dot"], 3, f"{sloc}.l_dot") if has_l_dot else None
-            rows.append([com, accel, l_dot or (0.0, 0.0, 0.0)])
-            l_dots.append(l_dot)
-        # One T x 3 x 3 array: com, accel and l_dot (zero when omitted) per sample.
-        block = np.array(rows, dtype=float).reshape(-1, 3, 3)
-        block.flags.writeable = False
-        samples = [
-            _unchecked(TrajectorySample, t=t, com=c, accel=a, l_dot=None if l_dot is None else m)
-            for t, (c, a, m), l_dot in zip(times, block, l_dots)
-        ]
-        phases.append(ScenarioPhase(name, scene, tuple(samples)))
+            l_dots.append(_numbers(entry["l_dot"], 3, f"{sloc}.l_dot") if has_l_dot else None)
+        phases.append(
+            ScenarioPhase(name, scene, tuple(times), tuple(coms), tuple(accels), tuple(l_dots))
+        )
     return Scenario(tuple(phases))
 
 

@@ -13,10 +13,11 @@ construction:
    by that normal force, a convex combination of the rescaled generator
    columns with the normal-force row removed: a point that must lie in the
    convex hull of those columns, viewed as points in 5-D.
-3. Each hull facet (and each equality, for flat clouds, as a +/- row pair)
-   turns into one homogeneous inequality on the full 6-D wrench, plus one
-   extra row asserting nonnegative normal force along the witness; rotating
-   the rows back yields ``W`` in the world frame.
+3. Each hull facet ``a . p >= w`` (and each equality, for flat clouds, as a
+   +/- row pair) turns into one homogeneous row ``a @ P - w v`` on the world
+   wrench, where the rows of P give a wrench's five cloud coordinates in the
+   witness frame and v is the unit witness on the force.  One extra row, v,
+   asserts nonnegative normal force along the witness.
 
 Once built for one anchor point, the matrix is re-anchored under a shift of
 the reference point by a single 6x6 multiply, because a wrench about the new
@@ -58,9 +59,6 @@ POSITIVITY_EPS = 1e-10
 MAX_SHIFT = 1e150
 _IDENTITY6 = np.eye(6)
 _ONES6 = np.ones(6)
-# Where each column of a 5-D hull row [a0..a4 | w] lands in a wrench row.
-_LIFT = [0, 1, 3, 4, 5, 2]
-_NORMAL_FORCE_ROW = (0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -141,23 +139,19 @@ def build_wcm(config: ContactConfiguration, com, v) -> WrenchConstraintMatrix:
     points = np.vstack([mod.force_generators[:2], mod.moment_generators]).T
     hull = convex_hull(points)
 
-    # A bound a . p >= w on the normalized 5-D point (fx, fy, mx, my, mz)/fz
-    # multiplies through by fz > 0 into one homogeneous row on the wrench:
-    # (a0, a1, -w, a2, a3, a4).  Equalities contribute a +/- row pair, and a
-    # last row asserts nonnegative normal force.  All go into one array.
-    k, m = len(hull.facets), len(hull.equalities)
-    rows = np.empty((k + 2 * m + 1, 6))
-    rows[:k, _LIFT] = hull.facets
-    rows[k : k + m, _LIFT] = hull.equalities
-    rows[: k + m, 2] *= -1.0
-    rows[k + m : -1] = -rows[k : k + m]
-    rows[-1] = _NORMAL_FORCE_ROW
-
-    world_rows = rows @ _frame(mod.rotation)
+    # The normalized 5-D point (fx, fy, mx, my, mz)/fz of a world wrench u is
+    # (P @ u) / (n . u), for P the frame's rows 0, 1, 3, 4, 5 and n its row 2
+    # (v / |v| on the force).  So a bound a . p >= w multiplies through by
+    # n . u > 0 into the world row a @ P - w n.  Equalities give a +/- row
+    # pair, and a last row, n itself, asserts nonnegative normal force.
+    frame = _frame(mod.rotation)
+    lift, n = frame[[0, 1, 3, 4, 5]], frame[2:3]
+    planes = np.concatenate([hull.facets, hull.equalities, -hull.equalities])
+    rows = np.concatenate([planes[:, :5] @ lift - planes[:, 5:] * n, n])
     # np.linalg.norm's formula, without its overhead.
-    world_rows /= np.sqrt((world_rows * world_rows).sum(axis=1))[:, None]
+    rows /= np.sqrt((rows * rows).sum(axis=1))[:, None]
     # gen.anchor is read-only and owned by gen, which lives only in this call.
-    return _unchecked(WrenchConstraintMatrix, rows=_freeze(world_rows), anchor=gen.anchor)
+    return _unchecked(WrenchConstraintMatrix, rows=_freeze(rows), anchor=gen.anchor)
 
 
 def shift_wcm(wcm: WrenchConstraintMatrix, delta) -> WrenchConstraintMatrix:

@@ -105,6 +105,23 @@ class TestAnalyze:
         assert "contacts[0].normal: a normal component of 1e+200" in out.stderr
         assert "Warning" not in out.stderr
 
+    def test_huge_mu_exits_2_without_numpy_warning(self, tmp_path):
+        # A single contact is never unconstrained; at this mu the classifier
+        # cannot tell, so the scene is an input error naming the contact.
+        scene = {"mass": 60.0, "gravity": [0, 0, -9.81], "com": [0, 0, 0.8],
+                 "contacts": [{"point": [0, 0, 0], "normal": [0, 0, 1], "mu": 1e200, "sides": 4}]}
+        path = tmp_path / "huge_mu.json"
+        path.write_text(json.dumps(scene), encoding="utf-8")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "wrenchfeas.cli", "analyze", str(path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 2, out.stderr
+        assert "huge_mu.json.contacts[0]: mu of 1e+200 exceeds" in out.stderr
+        assert "Warning" not in out.stderr
+
     def test_nonexistent_file(self, capsys):
         code, _, err = run(capsys, "analyze", "does_not_exist.json")
         assert code == 2
@@ -209,6 +226,49 @@ def test_report_bytes_match_streamed_json_dump(capsys, argv):
     streamed = io.StringIO()
     json.dump(json.loads(out), streamed, indent=2)
     assert out == streamed.getvalue() + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "flat_foot", "--accel", "-1,0,0"],
+        ["check", "flat_foot", "--accel", "-0.5,2,-19.62"],
+        ["check", "flat_foot", "--accel", "0,0,0", "--ldot", "-1,0,0"],
+        ["check", "two_walls", "--accel", ".5,0,0", "--ldot", "-.5,0,0"],
+        ["shift", "flat_foot", "--delta", "-0.05,0,0", "--samples", "50"],
+        ["check", "flat_foot", "--acc", "-1,0,0", "--l", "-1,0,0"],
+    ],
+    ids=["accel", "accel-infeasible", "ldot", "ldot-unconstrained", "delta", "prefixes"],
+)
+def test_negative_vector_flag_reads_as_the_equals_form(capsys, argv):
+    # argparse takes "-0.05,0,0" for an option unless it follows "=".
+    def strip(out):
+        report = json.loads(out)
+        report.pop("timing_ms", None)
+        return report
+
+    command, scene, *flags = argv
+    equals = [f"{flag}={value}" for flag, value in zip(flags[::2], flags[1::2])]
+    code, out, err = run(capsys, command, scene, *equals)
+    spaced_code, spaced_out, spaced_err = run(capsys, *argv)
+    assert (spaced_code, strip(spaced_out), spaced_err) == (code, strip(out), err)
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "flat_foot", "--accel"],
+        ["check", "flat_foot", "--accel", "0,0,0", "--ldot"],
+        ["shift", "flat_foot", "--delta"],
+        ["shift", "flat_foot", "--delta", "--samples", "5"],
+    ],
+    ids=["accel", "ldot", "delta", "delta-before-flag"],
+)
+def test_vector_flag_without_value_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "expected one argument" in err
 
 
 def test_far_shift_names_the_shifted_matrix(capsys):

@@ -1,5 +1,6 @@
 """Contact model: pyramid generators, generating matrices, kinematic helpers."""
 
+import re
 import warnings
 from dataclasses import FrozenInstanceError, fields
 
@@ -20,7 +21,7 @@ from wrenchfeas import (
     required_wrench,
     rotation_aligning_z,
 )
-from wrenchfeas.contacts import ORTHONORMAL_TOL
+from wrenchfeas.contacts import MAX_MU, ORTHONORMAL_TOL
 from wrenchfeas.errors import ZeroVector
 from wrenchfeas.scenes import rotation_from_normal
 
@@ -67,6 +68,14 @@ class TestConeGenerators:
             FrictionCone(-0.1, 4)
         with pytest.raises(ValueError):
             FrictionCone(0.8, 2)
+
+    @pytest.mark.parametrize("mu", [2e6, 1e200])
+    def test_mu_beyond_the_bound_rejected(self, mu):
+        with pytest.raises(ValueError, match=re.escape(f"mu of {mu:g} exceeds {MAX_MU:g}")):
+            FrictionCone(mu, 4)
+
+    def test_mu_at_the_bound_accepted(self):
+        assert FrictionCone(MAX_MU, 4).mu == 1e6
 
 
 class TestGeneratingMatrices:
