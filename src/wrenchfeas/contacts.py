@@ -34,7 +34,7 @@ MAX_DIRECTION = 1e150
 # contact reads unconstrained from about 1e10, and overflows at 1e200).
 MAX_MU = 1e6
 _ZERO3 = np.zeros(3)
-_ZERO3.flags.writeable = False
+_ZERO3.setflags(write=False)
 
 
 def _as_vec3(value, name: str) -> np.ndarray:
@@ -49,7 +49,7 @@ def _freeze_finite(v: np.ndarray, name: str) -> np.ndarray:
     x, y, z = v.tolist()
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError(f"{name} must have finite components")
-    v.flags.writeable = False
+    v.setflags(write=False)
     return v
 
 
@@ -60,7 +60,7 @@ def _check_anchor(anchor: np.ndarray, about: np.ndarray, what: str):
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 

@@ -21,7 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contacts import ContactConfiguration, GeneratingMatrices, build_generating_matrices
+from .contacts import (
+    ContactConfiguration,
+    GeneratingMatrices,
+    _freeze,
+    build_generating_matrices,
+)
 from .simplex import solve
 
 CLASSIFICATION_EPS = 1e-8
@@ -60,7 +65,7 @@ def classify(config: ContactConfiguration, com) -> Classification:
     size = max(map(abs, x.tolist()))
     witness, s_star = None, 0.0
     if size > 0.0:
-        witness = x / size
+        witness = _freeze(x / size)
         s_star = min(0.0, -float(np.min(witness @ u)))
     if s_star < -CLASSIFICATION_EPS:
         return Classification(True, witness, gen, s_star)

@@ -42,8 +42,8 @@ class HullResult:
     dim: int
 
     def __post_init__(self):
-        self.facets.flags.writeable = False
-        self.equalities.flags.writeable = False
+        self.facets.setflags(write=False)
+        self.equalities.setflags(write=False)
 
 
 def _affine_split(pts: np.ndarray):

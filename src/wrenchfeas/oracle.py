@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contacts import GeneratingMatrices, Wrench, _check_anchor
+from .contacts import GeneratingMatrices, Wrench, _check_anchor, _freeze
 from .errors import LpFailure
 from .simplex import PreparedMatrix
 
@@ -44,7 +44,7 @@ class MembershipVerdict:
 def _membership(prepared: PreparedMatrix, target: np.ndarray) -> MembershipVerdict:
     x, residual = prepared.solve(target)
     if residual <= MEMBERSHIP_TOL:
-        return MembershipVerdict(True, x)
+        return MembershipVerdict(True, _freeze(x))
     return MembershipVerdict(False)
 
 
@@ -133,7 +133,7 @@ def compare_wcm_oracle(
         else:
             disagree += 1
             if len(examples) < 10:
-                examples.append((w6.copy(), oracle_feasible, margin))
+                examples.append((_freeze(w6.copy()), oracle_feasible, margin))
     return AgreementReport(
         agree_feasible, agree_infeasible, disagree, excluded, tuple(examples)
     )

@@ -49,6 +49,7 @@ from .contacts import (
     ContactConfiguration,
     FrictionCone,
     RigidBodyParams,
+    _as_vec3,
     rotation_from_normal,
 )
 from .errors import SceneFormatError
@@ -56,9 +57,15 @@ from .errors import SceneFormatError
 
 @dataclass(frozen=True)
 class Scene:
+    """A body, its center of mass and its contacts.  ``com`` is kept as a
+    read-only copy, so the caller's array stays writable."""
+
     body: RigidBodyParams
     com: np.ndarray
     config: ContactConfiguration
+
+    def __post_init__(self):
+        object.__setattr__(self, "com", _as_vec3(self.com, "com"))
 
 
 @dataclass(frozen=True)
@@ -116,7 +123,7 @@ def scene_from_dict(data, where: str = "scene") -> Scene:
     gravity = _numbers(_require(data, "gravity", where), 3, f"{where}.gravity")
     if not all(math.isfinite(mass * g) for g in gravity):
         raise SceneFormatError(f"{where}.mass: weight mass * gravity must be finite")
-    com = np.array(_numbers(_require(data, "com", where), 3, f"{where}.com"), dtype=float)
+    com = _numbers(_require(data, "com", where), 3, f"{where}.com")
     raw_contacts = _require(data, "contacts", where)
     if not isinstance(raw_contacts, list) or not raw_contacts:
         raise SceneFormatError(f"{where}.contacts must be a nonempty array")

@@ -112,7 +112,7 @@ def prepare(matrix) -> PreparedMatrix:
     a = a / col_max
     gram = a.T @ a
     for arr in (a, gram, col_max):
-        arr.flags.writeable = False
+        arr.setflags(write=False)
     return PreparedMatrix(a, gram, col_max, 10.0 * _EPS * a.shape[1])
 
 

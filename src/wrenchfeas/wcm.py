@@ -120,7 +120,8 @@ def modified_generators(gen: GeneratingMatrices, v) -> ModifiedGenerators:
     # the frame add exact zeros, so each entry keeps the 3 x n product's bits.
     stacked = (_frame(rot) @ gen.stacked()) * (v_norm / dots)
     stacked[2] = 1.0  # exact by construction; the hull step relies on it
-    return ModifiedGenerators(stacked[:3], stacked[3:], rot)
+    _freeze(stacked)  # its row views below inherit the flag
+    return ModifiedGenerators(stacked[:3], stacked[3:], _freeze(rot))
 
 
 def _frame(rot: np.ndarray) -> np.ndarray:
@@ -177,10 +178,12 @@ def shift_wcm(wcm: WrenchConstraintMatrix, delta) -> WrenchConstraintMatrix:
     transfer[3, 1], transfer[3, 2] = -dz, dy
     transfer[4, 0], transfer[4, 2] = dz, -dx
     transfer[5, 0], transfer[5, 1] = -dy, dx
-    rows = wcm.rows @ transfer
+    # np.dot calls the BLAS routine ``@`` calls, so the bits are the same,
+    # without ``@``'s dispatch cost.
+    rows = np.dot(wcm.rows, transfer)
     # Row norms by a matrix-vector product: np.einsum costs more, most of all
     # on the first call after other work has evicted its code from cache.
-    rows /= np.sqrt((rows * rows) @ _ONES6)[:, None]
+    rows /= np.sqrt(np.dot(rows * rows, _ONES6))[:, None]
     anchor = wcm.anchor + delta
     return _unchecked(WrenchConstraintMatrix, rows=_freeze(rows), anchor=_freeze(anchor))
 
@@ -335,7 +338,7 @@ def trajectory_verdicts(
     if not pinned:
         return verdicts, margins
     mapped = np.array(mapped).reshape(-1, 6)
-    mapped.flags.writeable = False
+    mapped.setflags(write=False)
     if not constrained:
         for t, w6 in zip(pinned, mapped):
             wrench = _unchecked(Wrench, force=w6[:3], moment=w6[3:], about=anchor)

@@ -93,6 +93,10 @@ class TestClassify:
         assert cls.constrained
         assert cls.witness @ normal > 0.0
 
+    def test_witness_is_read_only(self):
+        cls = classify(flat_foot_config(), [0.0, 0.0, 0.8])
+        assert not cls.witness.flags.writeable
+
     def test_two_walls_unconstrained(self, two_walls_scene):
         cls = classify(two_walls_scene.config, two_walls_scene.com)
         assert not cls.constrained

@@ -65,6 +65,13 @@ def test_constructive_wrenches_are_feasible_with_certified_residual(flat_gen):
         assert np.min(verdict.coefficients) >= -1e-10
 
 
+def test_coefficients_are_read_only(flat_gen):
+    verdict = wrench_membership_lp(
+        flat_gen, Wrench([0, 0, 600.0], [0, 0, 0], flat_gen.anchor)
+    )
+    assert verdict.feasible and not verdict.coefficients.flags.writeable
+
+
 def test_downward_pull_is_infeasible(flat_gen):
     # Every generator has nonnegative vertical force; no combination can
     # point down.
@@ -147,6 +154,8 @@ class TestCompareWcmOracle:
         broken = WrenchConstraintMatrix(rows, wcm.anchor)
         report = compare_wcm_oracle(gen, broken, 400, rng_seed=9)
         assert report.disagree > 0
+        assert report.examples
+        assert not any(w6.flags.writeable for w6, _, _ in report.examples)
 
     def test_anchor_mismatch(self, flat_wcm):
         gen, wcm = flat_wcm

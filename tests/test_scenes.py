@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from wrenchfeas import Contact, FrictionCone, bundled_path, classify, load_scenario, load_scene
 from wrenchfeas.errors import SceneFormatError
 from wrenchfeas.scenes import (
+    Scene,
     _number,
     _numbers,
     rotation_from_normal,
@@ -116,6 +117,17 @@ class TestSceneParsing:
             assert np.array_equal(a.point, b.point)
             assert np.array_equal(a.rotation, b.rotation)
             assert a.cone == b.cone
+
+    def test_com_is_a_read_only_copy(self):
+        # Parsed or built directly, a scene's CoM cannot be written, and the
+        # caller's array stays writable and apart from it.
+        parsed = scene_from_dict(minimal_scene())
+        assert not parsed.com.flags.writeable
+        com = np.array([0.0, 0.0, 0.8])
+        scene = Scene(parsed.body, com, parsed.config)
+        assert not scene.com.flags.writeable and com.flags.writeable
+        com[0] = 5.0
+        assert scene.com.tolist() == [0.0, 0.0, 0.8]
 
     def test_rotation_given_directly(self):
         scene_dict = minimal_scene(

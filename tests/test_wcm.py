@@ -83,6 +83,11 @@ class TestModifiedGenerators:
         assert np.allclose(a.force_generators, b.force_generators, atol=1e-12)
         assert np.allclose(a.moment_generators, b.moment_generators, atol=1e-12)
 
+    def test_arrays_are_read_only(self, identity_contact_gen):
+        mod = modified_generators(identity_contact_gen, [0.2, 0.1, 1.0])
+        for arr in (mod.force_generators, mod.moment_generators, mod.rotation):
+            assert not arr.flags.writeable
+
     @pytest.mark.parametrize("seed", range(5))
     def test_third_row_is_ones(self, seed):
         rng = np.random.default_rng(seed)
@@ -462,13 +467,21 @@ def reference_transfer(delta):
     return transfer
 
 
-@pytest.mark.parametrize("name", CONSTRAINED_SCENES)
-def test_per_sample_path_matches_reference_bit_for_bit(name):
+# Each scene's W as built (C order, id the scene's name) and as an F-ordered
+# copy, which the constructor keeps in F order.
+@pytest.mark.parametrize(
+    "name,layout",
+    [pytest.param(n, "C", id=n) for n in CONSTRAINED_SCENES]
+    + [pytest.param(n, "F", id=f"{n}-F") for n in CONSTRAINED_SCENES],
+)
+def test_per_sample_path_matches_reference_bit_for_bit(name, layout):
     # required_wrench, shift_wcm and wrench_margin/wrench_feasible against
     # the array expressions they stand for, byte for byte, on seeded samples.
     scene = load_scene(bundled_path(name))
     cls = classify(scene.config, scene.com)
     wcm = build_wcm(scene.config, scene.com, cls.witness)
+    wcm = WrenchConstraintMatrix(np.array(wcm.rows, order=layout), wcm.anchor)
+    assert wcm.rows.flags[f"{layout}_CONTIGUOUS"]
     body = scene.body
     rng = np.random.default_rng(CONSTRAINED_SCENES.index(name) + 20)
     for _ in range(40):
