@@ -178,12 +178,13 @@ def shift_wcm(wcm: WrenchConstraintMatrix, delta) -> WrenchConstraintMatrix:
     transfer[3, 1], transfer[3, 2] = -dz, dy
     transfer[4, 0], transfer[4, 2] = dz, -dx
     transfer[5, 0], transfer[5, 1] = -dy, dx
-    # np.dot calls the BLAS routine ``@`` calls, so the bits are the same,
-    # without ``@``'s dispatch cost.
-    rows = np.dot(wcm.rows, transfer)
+    # ``@``, not np.dot, for both products: np.dot gives the same bits and
+    # skips a dispatch step, but right after a build has evicted its code
+    # from cache its first call costs a few us more than ``@``.
+    rows = wcm.rows @ transfer
     # Row norms by a matrix-vector product: np.einsum costs more, most of all
     # on the first call after other work has evicted its code from cache.
-    rows /= np.sqrt(np.dot(rows * rows, _ONES6))[:, None]
+    rows /= np.sqrt((rows * rows) @ _ONES6)[:, None]
     anchor = wcm.anchor + delta
     return _unchecked(WrenchConstraintMatrix, rows=_freeze(rows), anchor=_freeze(anchor))
 
