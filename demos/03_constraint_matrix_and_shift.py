@@ -11,15 +11,14 @@ import time
 import numpy as np
 
 from wrenchfeas import (
-    Wrench,
     build_generating_matrices,
     build_wcm,
     bundled_path,
     classify,
     load_scene,
     shift_wcm,
-    wrench_feasible,
 )
+from wrenchfeas.wcm import agreement_tally, wrench_verdicts
 
 scene = load_scene(bundled_path("traverse_phase2"))
 cls = classify(scene.config, scene.com)
@@ -43,16 +42,23 @@ print(f"\nshift by {delta}: {1e6 * t_shift:.0f} us")
 print(f"rebuild from scratch:  {1e3 * t_rebuild:.2f} ms")
 print(f"speedup: x{t_rebuild / t_shift:.0f}")
 
-# Same verdicts either way, on wrenches sampled around the new anchor.
+# Same verdicts either way, on wrenches sampled around the new anchor, tallied
+# as `wrenchfeas shift` tallies them: a disagreement within the boundary band
+# of either matrix is excluded, not counted.
 rng = np.random.default_rng(3)
 stacked = build_generating_matrices(scene.config, new_com).stacked()
-agree = 0
 n = 2000
-for k in range(n):
-    if k % 2 == 0:
-        w6 = stacked @ rng.exponential(size=stacked.shape[1])
-    else:
-        w6 = rng.normal(size=6) * 400.0
-    wrench = Wrench(w6[:3], w6[3:], new_com)
-    agree += wrench_feasible(shifted, wrench) == wrench_feasible(rebuilt, wrench)
-print(f"verdict agreement on {n} sampled wrenches: {agree}/{n}")
+wrenches = np.array(
+    [
+        stacked @ rng.exponential(size=stacked.shape[1]) if k % 2 == 0 else rng.normal(size=6) * 400.0
+        for k in range(n)
+    ]
+)
+a, margin_a = wrench_verdicts(shifted, wrenches, new_com)
+b, margin_b = wrench_verdicts(rebuilt, wrenches, new_com)
+near = np.minimum(np.abs(margin_a), np.abs(margin_b))
+agree, excluded = (int(m.sum()) for m in agreement_tally(a, b, near, wrenches))
+print(
+    f"verdicts on {n} sampled wrenches: {agree} agree, "
+    f"{excluded} boundary-excluded, {n - agree - excluded} disagree"
+)

@@ -23,20 +23,16 @@ from .contacts import (
 )
 from .feasibility import Classification, classify
 from .hull import HullResult, convex_hull
-from .oracle import (
-    AgreementReport,
-    MembershipVerdict,
-    compare_wcm_oracle,
-    force_membership_lp,
-    wrench_membership_lp,
-)
+from .oracle import MembershipVerdict, force_membership_lp, wrench_membership_lp
 from .scenes import Scene, Scenario, bundled_path, load_scenario, load_scene
 from .simplex import solve
 from .wcm import (
+    AgreementReport,
     WrenchConstraintMatrix,
     acceleration_feasible,
     acceleration_verdict,
     build_wcm,
+    compare_wcm_oracle,
     shift_wcm,
     trajectory_verdicts,
     wrench_feasible,

@@ -29,10 +29,10 @@ import numpy as np
 from .contacts import MotionQuery, build_generating_matrices
 from .errors import SceneFormatError
 from .feasibility import classify
-from .oracle import BOUNDARY_BAND
 from .scenes import Scene, bundled_path, load_scenario, load_scene
 from .wcm import (
     acceleration_verdict,
+    agreement_tally,
     build_wcm,
     shift_wcm,
     trajectory_verdicts,
@@ -179,12 +179,10 @@ def cmd_shift(args) -> int:
     hints = np.maximum.accumulate(np.maximum(np.linalg.norm(wrenches[0::2], axis=1), 1.0))
     gaussian = np.array(draws[1::2]).reshape(-1, 6)
     wrenches[1::2] = gaussian * hints[: args.samples // 2, None] / np.sqrt(6.0)
-    norms = np.linalg.norm(wrenches, axis=1)
     a, margin_a = wrench_verdicts(shifted, wrenches, target_com)
     b, margin_b = wrench_verdicts(rebuilt, wrenches, target_com)
     near = np.minimum(np.abs(margin_a), np.abs(margin_b))
-    agree = int(np.sum(a == b))
-    excluded = int(np.sum((a != b) & (near <= BOUNDARY_BAND * (1.0 + norms))))
+    agree, excluded = (int(np.sum(m)) for m in agreement_tally(a, b, near, wrenches))
     disagree = args.samples - agree - excluded
 
     report = {

@@ -27,6 +27,10 @@ samples needs no shifted matrix at all: ``trajectory_verdicts`` maps each
 sample's wrench back to the build anchor and answers the path in one batched
 product.  It is the one query path: ``acceleration_verdict`` is that call on
 a single sample at the anchor.
+
+The comparison against the membership oracle lives here too:
+``compare_wcm_oracle`` reads ``W`` through ``wrench_verdicts``, and its
+boundary-band rule, ``agreement_tally``, is the one ``wrenchfeas shift`` uses.
 """
 
 import math
@@ -52,9 +56,15 @@ from .contacts import (
 from .errors import WitnessOnBoundary
 from .feasibility import Classification
 from .hull import convex_hull
-from .oracle import MEMBERSHIP_EPS, wrench_membership_lp
+from .oracle import _straddle_pair, wrench_membership_lp
 
 POSITIVITY_EPS = 1e-10
+# The band of every verdict read from a constraint matrix: a wrench w with
+# margin at least -MEMBERSHIP_EPS * (1 + |w|) is feasible.
+MEMBERSHIP_EPS = 1e-9
+# Relative width of the boundary band in which two verdicts on one wrench may
+# differ: |margin| <= BOUNDARY_BAND * (1 + |w|).
+BOUNDARY_BAND = 1e-7
 # Largest shift component: the shifted rows' squared norms stay finite below it.
 MAX_SHIFT = 1e150
 _IDENTITY6 = np.eye(6)
@@ -233,6 +243,78 @@ def wrench_verdicts(wcm: WrenchConstraintMatrix, wrenches, about):
     margins = (wrenches @ wcm.rows.T).min(axis=1)
     norms = np.sqrt((wrenches * wrenches) @ _ONES6)
     return _within_band(margins, norms), margins
+
+
+def agreement_tally(a, b, near, wrenches):
+    """Compare two boolean verdict arrays on the rows of a T x 6 array
+    ``wrenches``.  Returns the boolean arrays ``agree`` and ``excluded``: a
+    sample is excluded when the verdicts differ but its ``near``, a
+    ``|margin|``, is at most ``BOUNDARY_BAND * (1 + |w|)``, where two
+    tolerance models may differ.  Every other sample disagrees."""
+    agree = a == b
+    band = BOUNDARY_BAND * (1.0 + np.linalg.norm(wrenches, axis=1))
+    return agree, ~agree & (near <= band)
+
+
+@dataclass(frozen=True)
+class AgreementReport:
+    """Tally of verdict agreement between a constraint matrix and the
+    membership oracle; ``agreement_tally`` decides ``boundary_excluded``.
+    ``examples`` holds up to ten disagreements as (wrench, oracle verdict,
+    margin)."""
+
+    agree_feasible: int
+    agree_infeasible: int
+    disagree: int
+    boundary_excluded: int
+    examples: tuple = ()
+
+    @property
+    def total(self) -> int:
+        return self.agree_feasible + self.agree_infeasible + self.disagree + self.boundary_excluded
+
+
+def compare_wcm_oracle(
+    gen: GeneratingMatrices,
+    wcm: WrenchConstraintMatrix,
+    n_samples: int,
+    rng_seed: int,
+) -> AgreementReport:
+    """Compare constraint-matrix verdicts against membership ground truth.
+
+    Half the samples are constructively feasible (nonnegative generator
+    combinations, so their feasibility certificate is the combination itself).
+    The other half are pairs bracketing the feasibility boundary, found by
+    walking a ray from a feasible wrench and bisecting with the membership
+    test.  Every oracle verdict was established by an actual solve; the
+    ``W`` side is one ``wrench_verdicts`` call on all samples.
+    """
+    _check_anchor(gen.anchor, wcm.anchor, "generators")
+    rng = np.random.default_rng(rng_seed)
+    wrenches, truth = [], []
+    n_feasible = n_samples // 2
+    if n_feasible:
+        coeffs = rng.exponential(size=(gen.n_columns, n_feasible))
+        wrenches += list((gen.stacked() @ coeffs).T)
+        truth += [True] * n_feasible
+    while len(wrenches) < n_samples:
+        for w6, feasible in _straddle_pair(gen, rng)[: n_samples - len(wrenches)]:
+            wrenches.append(w6)
+            truth.append(feasible)
+
+    wrenches = np.array(wrenches).reshape(-1, 6)
+    truth = np.array(truth, dtype=bool)
+    feasible, margins = wrench_verdicts(wcm, wrenches, gen.anchor)
+    agree, excluded = agreement_tally(feasible, truth, np.abs(margins), wrenches)
+    disagree = np.flatnonzero(~(agree | excluded))
+    examples = tuple(
+        (_freeze(wrenches[i].copy()), bool(truth[i]), float(margins[i]))
+        for i in disagree[:10]
+    )
+    agree_feasible, agree_infeasible = int(np.sum(agree & truth)), int(np.sum(agree & ~truth))
+    return AgreementReport(
+        agree_feasible, agree_infeasible, disagree.size, int(np.sum(excluded)), examples
+    )
 
 
 def acceleration_verdict(

@@ -29,9 +29,8 @@ from wrenchfeas import (
 )
 from wrenchfeas import wcm as wcm_module
 from wrenchfeas.cli import main
-from wrenchfeas.oracle import BOUNDARY_BAND
 from wrenchfeas.scenes import scene_from_dict
-from wrenchfeas.wcm import WrenchConstraintMatrix
+from wrenchfeas.wcm import BOUNDARY_BAND, WrenchConstraintMatrix
 
 CONSTRAINED_SCENES = ["flat_foot"] + [f"traverse_phase{k}" for k in range(1, 7)]
 BUNDLED_SCENES = sorted(

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import nnls
 
 from wrenchfeas import build_generating_matrices, load_scene
+from wrenchfeas.oracle import MEMBERSHIP_TOL
 from wrenchfeas.simplex import _passive_solve, _step_back, prepare, solve
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
@@ -313,6 +314,27 @@ def test_stop_test_sees_a_gradient_small_only_in_absolute_terms():
     x, residual = solve(a, b)
     assert residual <= 1e-12
     assert x == pytest.approx([4.0, 1.0], rel=1e-9)
+
+
+@pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 3: a gradient entry lost in rounding stops short of a fit"
+)
+def test_reaches_a_fit_admitted_only_by_a_gradient_below_rounding():
+    # The gradient entry that would admit column 0, about 3e-19, is lost in
+    # the rounding of A^T (b - Ax): the solve stops at x = (0, 0.498, 0.596)
+    # with a relative residual of 4.28e-9, yet the nonnegative
+    # x = (32.6, 37.7, 24.3) fits exactly.
+    a = np.array(
+        [
+            [5.1625099107345704, -7.6714892118526326, 4.9337932016343782],
+            [-7.6714892118526326, 5.1625099107345704, 2.4490394398196198],
+            [5.4196146806530209e-10, -1.9076283690526757e-22, -1.9076283690526757e-22],
+        ]
+    )
+    b = np.array([-0.87886997505571429, 4.0323056455937838, 1.7672677475815698e-08])
+    assert np.linalg.solve(a, b).min() > 0.0
+    _, residual = solve(a, b)
+    assert residual <= MEMBERSHIP_TOL
 
 
 # Entries far below 1e-200 could put the exact solution past the largest

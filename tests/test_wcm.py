@@ -27,7 +27,7 @@ from wrenchfeas import (
 )
 from wrenchfeas import bundled_path, load_scene, wcm as wcm_module
 from wrenchfeas.errors import AnchorMismatch, WitnessOnBoundary
-from wrenchfeas.scenes import scene_from_dict
+from wrenchfeas.scenes import rotation_from_normal, scene_from_dict
 from wrenchfeas.wcm import (
     WrenchConstraintMatrix,
     modified_generators,
@@ -829,3 +829,79 @@ def test_w_does_not_depend_on_witness_frame_spin(name, make, monkeypatch):
         clear = (np.abs(margins) > band) & (np.abs(base_margins) > band)
         assert clear.sum() >= 100
         assert np.array_equal(feasible[clear], base_feasible[clear])
+
+
+# Known faults, pinned as strict xfails: each asserts the correct answer, so
+# the fix that mends the fault turns its test into a pass.
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: a constrained query with no l_dot is checked at zero moment",
+)
+def test_unpinned_moment_admits_any_moment(flat_foot_scene):
+    # `wrenchfeas check flat_foot --accel 3,0,0`: MotionQuery leaves the
+    # moment free and the contacts can make the force m (a - g), yet the
+    # constrained path fills the moment with zeros and reads margin -66.28.
+    scene = flat_foot_scene
+    cls = classify(scene.config, scene.com)
+    wcm = build_wcm(scene.config, scene.com, cls.witness)
+    query = MotionQuery([3.0, 0.0, 0.0])
+    force = scene.body.mass * (query.com_accel - scene.body.gravity)
+    assert force_membership_lp(cls.generating, force).feasible
+    feasible, _ = acceleration_verdict(cls, wcm, scene.body, query, scene.com)
+    assert feasible
+
+
+def _frictionless(point, rotation):
+    return Contact(point, rotation, FrictionCone(0.0, 4))
+
+
+def _frictionless_ring(n):
+    """``n`` frictionless contacts on a ring at one height with inward
+    horizontal normals: no upward force is reachable."""
+    return ContactConfiguration(
+        tuple(
+            _frictionless(
+                [0.3 * np.cos(a), 0.3 * np.sin(a), 0.5],
+                rotation_from_normal([-np.cos(a), -np.sin(a), 0.0]),
+            )
+            for a in 2.0 * np.pi * np.arange(n) / n
+        )
+    )
+
+
+OPPOSED_VERTICAL = ContactConfiguration(
+    (
+        _frictionless([0.0, 0.0, 0.0], np.eye(3)),
+        _frictionless([0.05, 0.0, 1.2], np.diag([1.0, -1.0, -1.0])),
+    )
+)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: a frictionless set whose force cone is not R^3 "
+    "classifies as unconstrained",
+)
+@pytest.mark.parametrize(
+    "config, com, accel",
+    [
+        (OPPOSED_VERTICAL, [0.0, 0.0, 0.6], [1.0, 0.0, 0.0]),
+        (_frictionless_ring(3), [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]),
+        (_frictionless_ring(4), [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]),
+    ],
+    ids=["opposed_vertical", "ring_of_3", "ring_of_4"],
+)
+def test_frictionless_set_rejects_a_force_it_cannot_make(config, com, accel):
+    # Two vertical contacts cannot push along x, and a horizontal ring cannot
+    # hold up the body's 588.6 N; the unconstrained path admits any force.
+    body = RigidBodyParams(60.0, [0.0, 0.0, -9.81])
+    com = np.array(com)
+    cls = classify(config, com)
+    query = MotionQuery(accel)
+    force = body.mass * (query.com_accel - body.gravity)
+    assert not force_membership_lp(cls.generating, force).feasible
+    wcm = build_wcm(config, com, cls.witness) if cls.constrained else None
+    feasible, _ = acceleration_verdict(cls, wcm, body, query, com)
+    assert not feasible
