@@ -10,6 +10,13 @@ scenes genuinely produce flat point clouds.  Facet rows are qhull's own
 hyperplanes, deduplicated exactly by one sort: no tolerance decides which
 facets merge.  They come in the order qhull first reports each hyperplane;
 no canonical sort follows.
+
+qhull runs with option ``Q5``.  It skips qhull's last pass, which measures
+how far the input points lie above each finished facet (its outer plane) and
+never moves a facet's hyperplane; this module reads only the hyperplanes
+(``equations``), so the option saves that pass and changes no bit of the
+result.  Passing an option drops scipy's default ``Qx`` for input of five or
+more dimensions, but qhull then selects the same exact merging itself.
 """
 
 import math
@@ -133,7 +140,7 @@ def convex_hull(points) -> HullResult:
         sub = np.array([[-1.0, y.min()], [1.0, -y.max()]])
     else:
         try:
-            hull = ConvexHull(projected)
+            hull = ConvexHull(projected, qhull_options="Q5")
         except QhullError as exc:
             raise HullFailure(f"qhull failed on projected cloud: {exc}") from exc
         # Drop copies before the lift below: there, BLAS may round two copies

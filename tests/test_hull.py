@@ -363,13 +363,24 @@ def stance_cloud(config, com):
     return np.vstack([mod.force_generators[:2], mod.moment_generators]).T
 
 
-def floor_stance(rng, n, sides, mu):
-    """``n`` floor contacts with slightly tilted normals and spun pyramids:
-    constrained for every mu, since +z lies in every dual cone."""
+def stance(rng, family, n, sides, mu):
+    """``n`` contacts with spun pyramids: a ``"floor"`` patch with slightly
+    tilted normals (constrained for every mu, since +z lies in every dual
+    cone), two facing ``"walls"`` in turn, or ``"mixed"``: floor, wall and
+    handle in turn, a handle's normal uniform on the sphere."""
     contacts = []
-    for _ in range(n):
-        point = [rng.uniform(-0.2, 0.2), rng.uniform(-0.15, 0.15), 0.0]
-        normal = np.array([0.0, 0.0, 1.0]) + rng.normal(size=3) * 0.1
+    for i in range(n):
+        kind = ("floor", "walls", "handle")[i % 3] if family == "mixed" else family
+        if kind == "floor":
+            point = [rng.uniform(-0.2, 0.2), rng.uniform(-0.15, 0.15), 0.0]
+            normal = np.array([0.0, 0.0, 1.0]) + rng.normal(size=3) * 0.1
+        elif kind == "walls":
+            side = 1.0 if i % 2 == 0 else -1.0
+            point = [-0.4 * side, rng.uniform(-0.3, 0.3), rng.uniform(0.2, 1.2)]
+            normal = np.array([side, 0.0, 0.0]) + rng.normal(size=3) * 0.1
+        else:
+            point = rng.uniform([-0.4, -0.4, 0.6], [0.4, 0.4, 1.4])
+            normal = rng.normal(size=3)
         th = rng.uniform(0.0, 2.0 * np.pi)
         spin = np.array(
             [[np.cos(th), -np.sin(th), 0.0], [np.sin(th), np.cos(th), 0.0], [0.0, 0.0, 1.0]]
@@ -405,7 +416,7 @@ def test_merge_matches_greedy_on_seeded_stances():
     hulled = merged = 0
     for k in range(240):
         mu = (0.0, 0.3, 0.5, 0.8)[k % 4]
-        config = floor_stance(rng, int(rng.integers(1, 11)), int(rng.integers(3, 9)), mu)
+        config = stance(rng, "floor", int(rng.integers(1, 11)), int(rng.integers(3, 9)), mu)
         com = rng.uniform([-0.05, -0.05, 0.7], [0.05, 0.05, 0.9])
         pts = stance_cloud(config, com)
         if hull._affine_split(pts)[0] < 2:
@@ -436,7 +447,7 @@ def test_unique_rows_matches_lexsort_on_seeded_stances():
     compared = 0
     for k in range(240):
         mu = (0.0, 0.3, 0.5, 0.8)[k % 4]
-        config = floor_stance(rng, int(rng.integers(1, 11)), int(rng.integers(3, 9)), mu)
+        config = stance(rng, "floor", int(rng.integers(1, 11)), int(rng.integers(3, 9)), mu)
         com = rng.uniform([-0.05, -0.05, 0.7], [0.05, 0.05, 0.9])
         pts = stance_cloud(config, com)
         if hull._affine_split(pts)[0] < 2:
@@ -486,3 +497,64 @@ def test_unique_rows_tells_apart_rows_that_differ_next_to_zero_bytes():
     kept = hull._unique_rows(rows)
     assert kept.tobytes() == rows[:5].tobytes()
     assert kept.tobytes() == lexsort_unique_rows(rows).tobytes()
+
+
+def hull_outcome(pts):
+    """``convex_hull``'s facets, equalities and affine dimension as bytes, or
+    the type and message of what it raised."""
+    try:
+        result = hull.convex_hull(pts)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return result.facets.tobytes(), result.equalities.tobytes(), result.affine_dim
+
+
+def degenerate_clouds(rng):
+    """5-D clouds of every affine rank from 0 to 5: integer lattices,
+    duplicated points, cospherical points and Gaussian flats, each placed by
+    a random affine map, and the lattice also along the coordinate axes."""
+    for rank in range(6):
+        embed = rng.normal(size=(rank, 5))
+        offset = rng.normal(size=5)
+        lattice = rng.integers(-2, 3, size=(24, rank)).astype(float)
+        flat = rng.normal(size=(16, rank))
+        sphere = flat / np.maximum(np.linalg.norm(flat, axis=1), 1e-300)[:, None]
+        for coords in (lattice, np.vstack([flat, flat[::2]]), sphere, flat):
+            yield coords @ embed + offset
+        yield np.hstack([lattice, np.zeros((24, 5 - rank))]) + np.round(offset)
+
+
+def test_q5_moves_no_hyperplane(monkeypatch):
+    # qhull runs with Q5, which skips only the final pass that measures each
+    # facet's outer plane; convex_hull reads the facets' hyperplanes alone.
+    # So every row must match, bit for bit and in order, what scipy's
+    # ConvexHull with its default options gives, and so must any error.
+    # Most wall and mixed stances are unconstrained and have no cloud, so
+    # each cell is drawn three times.
+    rng = np.random.default_rng(515)
+    clouds = []
+    per_family = dict.fromkeys(("floor", "walls", "mixed"), 0)
+    for family in per_family:
+        for mu in (0.0, 0.3, 0.5, 0.8):
+            for n in [*range(1, 17)] * 3:
+                config = stance(rng, family, n, int(rng.integers(3, 9)), mu)
+                com = rng.uniform([-0.05, -0.05, 0.7], [0.05, 0.05, 0.9])
+                if classify(config, com).constrained:
+                    clouds.append(stance_cloud(config, com))
+                    per_family[family] += 1
+    stances = len(clouds)
+    clouds.extend(degenerate_clouds(rng))
+    with_q5 = [hull_outcome(pts) for pts in clouds]
+
+    calls = []
+
+    def default_options(points, **_):
+        calls.append(len(points))
+        return ConvexHull(points)
+
+    monkeypatch.setattr(hull, "ConvexHull", default_options)
+    for k, pts in enumerate(clouds):
+        assert hull_outcome(pts) == with_q5[k], k
+    ranks = {outcome[2] for outcome in with_q5[stances:]}
+    assert min(per_family.values()) >= 10 and len(calls) >= 150, (per_family, len(calls))
+    assert ranks == set(range(6))
