@@ -18,7 +18,7 @@ from wrenchfeas import (
     load_scene,
     shift_wcm,
 )
-from wrenchfeas.wcm import agreement_tally, wrench_verdicts
+from wrenchfeas.wcm import compare_wcm_pair
 
 scene = load_scene(bundled_path("traverse_phase2"))
 cls = classify(scene.config, scene.com)
@@ -43,22 +43,11 @@ print(f"rebuild from scratch:  {1e3 * t_rebuild:.2f} ms")
 print(f"speedup: x{t_rebuild / t_shift:.0f}")
 
 # Same verdicts either way, on wrenches sampled around the new anchor, tallied
-# as `wrenchfeas shift` tallies them: a disagreement within the boundary band
-# of either matrix is excluded, not counted.
-rng = np.random.default_rng(3)
-stacked = build_generating_matrices(scene.config, new_com).stacked()
+# by the routine `wrenchfeas shift` calls: a disagreement within the boundary
+# band of either matrix is excluded, not counted.
 n = 2000
-wrenches = np.array(
-    [
-        stacked @ rng.exponential(size=stacked.shape[1]) if k % 2 == 0 else rng.normal(size=6) * 400.0
-        for k in range(n)
-    ]
-)
-a, margin_a = wrench_verdicts(shifted, wrenches, new_com)
-b, margin_b = wrench_verdicts(rebuilt, wrenches, new_com)
-near = np.minimum(np.abs(margin_a), np.abs(margin_b))
-agree, excluded = (int(m.sum()) for m in agreement_tally(a, b, near, wrenches))
+tally = compare_wcm_pair(build_generating_matrices(scene.config, new_com), shifted, rebuilt, n, 3)
 print(
-    f"verdicts on {n} sampled wrenches: {agree} agree, "
-    f"{excluded} boundary-excluded, {n - agree - excluded} disagree"
+    f"verdicts on {n} sampled wrenches: {tally.agree_feasible + tally.agree_infeasible} agree, "
+    f"{tally.boundary_excluded} boundary-excluded, {tally.disagree} disagree"
 )

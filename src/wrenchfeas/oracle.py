@@ -1,14 +1,15 @@
 """Solver-backed ground truth for wrench feasibility: membership only.
 
-Everything in this module goes straight from the span-form generators to one
+Each membership test goes straight from the span-form generators to one
 nonnegative least-squares solve: a wrench is achievable exactly when it is a
 nonnegative combination of the stacked generator columns, i.e. when the NNLS
 residual of ``generators @ a = wrench``, ``a >= 0``, vanishes (relative
-residual at most ``MEMBERSHIP_TOL``).  No convex hull and no constraint
-matrix is consulted or defined here, which keeps the module an independent
-check on the polyhedral pipeline built on top of it (it imports only the
-contact model and the solver).  ``wcm.compare_wcm_oracle`` compares the
-pipeline with these verdicts.
+residual at most ``MEMBERSHIP_TOL``).  ``_straddle_pair`` bisects along a
+ray with that test, about 12 solves per pair.  No convex hull and no
+constraint matrix is consulted or defined here, which keeps the module an
+independent check on the polyhedral pipeline built on top of it (it imports
+only the contact model and the solver).  ``wcm.compare_wcm_oracle`` compares
+the pipeline with these verdicts.
 
 The generator matrices are fixed for a configuration and anchor, so their
 checks, column scaling and Gram matrix are formed once per

@@ -28,9 +28,9 @@ sample's wrench back to the build anchor and answers the path in one batched
 product.  It is the one query path: ``acceleration_verdict`` is that call on
 a single sample at the anchor.
 
-The comparison against the membership oracle lives here too:
-``compare_wcm_oracle`` reads ``W`` through ``wrench_verdicts``, and its
-boundary-band rule, ``agreement_tally``, is the one ``wrenchfeas shift`` uses.
+The verdict comparisons live here too: ``compare_wcm_oracle`` against the
+membership oracle, ``compare_wcm_pair`` between two matrices (``wrenchfeas
+shift``).  Both read ``W`` through ``wrench_verdicts`` and share one tally.
 """
 
 import math
@@ -245,23 +245,11 @@ def wrench_verdicts(wcm: WrenchConstraintMatrix, wrenches, about):
     return _within_band(margins, norms), margins
 
 
-def agreement_tally(a, b, near, wrenches):
-    """Compare two boolean verdict arrays on the rows of a T x 6 array
-    ``wrenches``.  Returns the boolean arrays ``agree`` and ``excluded``: a
-    sample is excluded when the verdicts differ but its ``near``, a
-    ``|margin|``, is at most ``BOUNDARY_BAND * (1 + |w|)``, where two
-    tolerance models may differ.  Every other sample disagrees."""
-    agree = a == b
-    band = BOUNDARY_BAND * (1.0 + np.linalg.norm(wrenches, axis=1))
-    return agree, ~agree & (near <= band)
-
-
 @dataclass(frozen=True)
 class AgreementReport:
-    """Tally of verdict agreement between a constraint matrix and the
-    membership oracle; ``agreement_tally`` decides ``boundary_excluded``.
-    ``examples`` holds up to ten disagreements as (wrench, oracle verdict,
-    margin)."""
+    """Tally of verdict agreement between a constraint matrix and the truth:
+    the membership oracle or a reference matrix.  ``examples`` holds up to
+    ten disagreements as (wrench, true verdict, the matrix's margin)."""
 
     agree_feasible: int
     agree_infeasible: int
@@ -272,6 +260,22 @@ class AgreementReport:
     @property
     def total(self) -> int:
         return self.agree_feasible + self.agree_infeasible + self.disagree + self.boundary_excluded
+
+
+def _tally(wrenches, truth, feasible, margins, near) -> AgreementReport:
+    """``feasible`` against ``truth`` on the rows of ``wrenches``.  Differing
+    verdicts are excluded when ``near``, a ``|margin|``, is at most
+    ``BOUNDARY_BAND * (1 + |w|)``, where two tolerance models may differ."""
+    agree = feasible == truth
+    excluded = ~agree & (near <= BOUNDARY_BAND * (1.0 + np.linalg.norm(wrenches, axis=1)))
+    disagree = np.flatnonzero(~(agree | excluded))
+    examples = tuple(
+        (_freeze(wrenches[i].copy()), bool(truth[i]), float(margins[i])) for i in disagree[:10]
+    )
+    agree_feasible, agree_infeasible = int(np.sum(agree & truth)), int(np.sum(agree & ~truth))
+    return AgreementReport(
+        agree_feasible, agree_infeasible, disagree.size, int(np.sum(excluded)), examples
+    )
 
 
 def compare_wcm_oracle(
@@ -305,16 +309,34 @@ def compare_wcm_oracle(
     wrenches = np.array(wrenches).reshape(-1, 6)
     truth = np.array(truth, dtype=bool)
     feasible, margins = wrench_verdicts(wcm, wrenches, gen.anchor)
-    agree, excluded = agreement_tally(feasible, truth, np.abs(margins), wrenches)
-    disagree = np.flatnonzero(~(agree | excluded))
-    examples = tuple(
-        (_freeze(wrenches[i].copy()), bool(truth[i]), float(margins[i]))
-        for i in disagree[:10]
-    )
-    agree_feasible, agree_infeasible = int(np.sum(agree & truth)), int(np.sum(agree & ~truth))
-    return AgreementReport(
-        agree_feasible, agree_infeasible, disagree.size, int(np.sum(excluded)), examples
-    )
+    return _tally(wrenches, truth, feasible, margins, np.abs(margins))
+
+
+def compare_wcm_pair(
+    gen: GeneratingMatrices,
+    wcm: WrenchConstraintMatrix,
+    reference: WrenchConstraintMatrix,
+    n_samples: int,
+    rng_seed: int,
+) -> AgreementReport:
+    """Compare ``wcm`` with ``reference``, taken as truth, on wrenches about
+    ``gen``'s anchor: every other one a nonnegative combination of ``gen``'s
+    columns, the ones between Gaussian, scaled by the largest combination so
+    far over sqrt(6).  A disagreement in either matrix's band is excluded."""
+    rng = np.random.default_rng(rng_seed)
+    draws = [
+        rng.exponential(size=gen.n_columns) if k % 2 == 0 else rng.normal(size=6)
+        for k in range(n_samples)
+    ]
+    wrenches = np.empty((n_samples, 6))
+    wrenches[0::2] = np.array(draws[0::2]).reshape(-1, gen.n_columns) @ gen.stacked().T
+    hints = np.maximum.accumulate(np.maximum(np.linalg.norm(wrenches[0::2], axis=1), 1.0))
+    gaussian = np.array(draws[1::2]).reshape(-1, 6)
+    wrenches[1::2] = gaussian * hints[: n_samples // 2, None] / np.sqrt(6.0)
+    feasible, margins = wrench_verdicts(wcm, wrenches, gen.anchor)
+    truth, reference_margins = wrench_verdicts(reference, wrenches, gen.anchor)
+    near = np.minimum(np.abs(margins), np.abs(reference_margins))
+    return _tally(wrenches, truth, feasible, margins, near)
 
 
 def acceleration_verdict(

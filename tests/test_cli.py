@@ -186,8 +186,8 @@ class TestCheck:
         ["shift", "flat_foot", "--delta", "0,0,0", "--samples", "-3"],
         ["check", "flat_foot", "--accel", "1e308,0,0"],
         ["shift", "flat_foot", "--samples", "2", "--delta", "1e200,0,0"],
-        ["bench", "flat_foot", "--reps", "1", "--seed", "-1"],
         ["shift", "flat_foot", "--delta", "0,0,0", "--samples", "2", "--seed", "-1"],
+        ["check", "flat_foot", "--accel", "a,b,c"],
     ],
     ids=[
         "nan-accel",
@@ -196,8 +196,8 @@ class TestCheck:
         "negative-samples",
         "overflowing-force",
         "overflowing-sample-wrench",
-        "negative-bench-seed",
         "negative-shift-seed",
+        "non-numeric-accel",
     ],
 )
 def test_out_of_range_flag_is_an_input_error(capsys, argv):
@@ -351,6 +351,19 @@ class TestShift:
         assert code == 0
         assert report["agreement"]["disagree"] == 0
         assert report["timing_ms"]["shift"] < report["timing_ms"]["rebuild"]
+
+    def test_csv_holds_the_report_timings(self, capsys, tmp_path):
+        csv_path = tmp_path / "shift.csv"
+        code, report, _ = run_json(
+            capsys, "shift", "flat_foot", "--delta", "0.05,-0.02,0.1",
+            "--samples", "10", "--csv", str(csv_path),
+        )
+        assert code == 0
+        with open(csv_path, newline="") as handle:
+            header, *rows = list(csv.reader(handle))
+        assert header == ["operation", "time_ms"]
+        assert [op for op, _ in rows] == ["shift", "rebuild"]
+        assert [float(t) for _, t in rows] == [report["timing_ms"][op] for op, _ in rows]
 
     def test_unconstrained_scene_refused(self, capsys):
         code, _, err = run(capsys, "shift", "two_walls", "--delta", "0,0,0.1")
@@ -628,3 +641,8 @@ class TestBench:
     def test_nonexistent_scene(self, capsys):
         code, _, _ = run(capsys, "bench", "nope.json", "--reps", "2")
         assert code == 2
+
+    def test_seed_is_not_an_option(self, capsys):
+        code, out, err = run(capsys, "bench", "flat_foot", "--reps", "1", "--seed", "0")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --seed 0" in err

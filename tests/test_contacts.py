@@ -21,7 +21,7 @@ from wrenchfeas import (
     required_wrench,
     rotation_aligning_z,
 )
-from wrenchfeas.contacts import MAX_MU, ORTHONORMAL_TOL
+from wrenchfeas.contacts import MAX_MU, ORTHONORMAL_TOL, GeneratingMatrices
 from wrenchfeas.errors import ZeroVector
 from wrenchfeas.scenes import rotation_from_normal
 
@@ -130,6 +130,15 @@ class TestGeneratingMatrices:
         assert np.array_equal(stacked[3:], gen.moment_generators)
         with pytest.raises(ValueError):
             stacked[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "force_shape, moment_shape",
+        [((3, 4), (3, 5)), ((2, 4), (2, 4)), ((3,), (3,)), ((6, 4), (6, 4))],
+        ids=["column-counts", "two-rows", "one-dimensional", "six-rows"],
+    )
+    def test_generator_shapes_checked(self, force_shape, moment_shape):
+        with pytest.raises(ValueError, match="generator matrices must both be 3 x n_columns"):
+            GeneratingMatrices(np.zeros(force_shape), np.zeros(moment_shape), [0.0, 0.0, 0.0])
 
     def test_prepared_problems_cached_outside_equality_and_repr(self):
         gen = build_generating_matrices(flat_foot_config(), [0, 0, 0.8])

@@ -1,5 +1,7 @@
 """Convex hull in low dimension, with degenerate (flat) clouds."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +191,12 @@ class TestConvexHull:
     def test_empty_input_raises(self):
         with pytest.raises(DegenerateInput):
             convex_hull(np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4)])
+    def test_points_must_be_2d(self, shape):
+        message = f"points must be 2-D (n_points, dim), got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            convex_hull(np.ones(shape))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):

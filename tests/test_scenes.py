@@ -178,6 +178,18 @@ class TestSceneParsing:
             ),
             (lambda d: d.update(com=["0", "0", "0.8"]), "com[0]"),
             (lambda d: d.update(com=[True, 0, 0.8]), "com[0] must be a number"),
+            # JSON's NaN, 1e999 (read as inf) and an integer beyond float range.
+            (lambda d: d.update(com=json.loads("[0, 0, NaN]")), "scene.com[2] must be finite"),
+            (lambda d: d.update(mass=json.loads("1e999")), "scene.mass must be finite"),
+            (
+                lambda d: d["contacts"][0].update(mu=json.loads("9" * 400)),
+                "scene.contacts[0].mu must be finite",
+            ),
+            (lambda d: d.update(contacts=[5]), "scene.contacts[0] must be a JSON object"),
+            (
+                lambda d: d["contacts"][0].update(sides=4.0),
+                "scene.contacts[0].sides must be an integer",
+            ),
         ],
     )
     def test_errors_name_the_field(self, mutate, needle):
@@ -249,6 +261,43 @@ class TestScenarioParsing:
         path.write_text(json.dumps(data))
         with pytest.raises(SceneFormatError, match="strictly increasing"):
             load_scenario(path)
+
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda d: [d], "scenario must be a JSON object"),
+            (lambda d: {"phases": []}, "scenario.phases must be a nonempty array"),
+            (lambda d: {"phases": ["walk"]}, "scenario.phases[0] must be a JSON object"),
+            (
+                lambda d: d["phases"][0].update(name="") or d,
+                "scenario.phases[0].name must be a nonempty string",
+            ),
+            (
+                lambda d: d["phases"][0].update(name=3) or d,
+                "scenario.phases[0].name must be a nonempty string",
+            ),
+            (
+                lambda d: d["phases"][0].update(scene=[]) or d,
+                "scenario.phases[0].scene must be a JSON object",
+            ),
+            (
+                lambda d: d["phases"][0].update(com_trajectory={}) or d,
+                "scenario.phases[0].com_trajectory must be an array",
+            ),
+            (
+                lambda d: d["phases"][0]["com_trajectory"].append(0.5) or d,
+                "scenario.phases[0].com_trajectory[2] must be a JSON object",
+            ),
+        ],
+        ids=[
+            "scenario", "empty-phases", "phase", "empty-name", "number-name",
+            "inline-scene", "trajectory", "sample",
+        ],
+    )
+    def test_errors_name_the_field(self, make, message):
+        with pytest.raises(SceneFormatError) as excinfo:
+            scenario_from_dict(make(self.scenario_dict()), base_dir=None)
+        assert str(excinfo.value) == message
 
     def test_missing_phase_name(self, tmp_path):
         data = self.scenario_dict()

@@ -29,7 +29,9 @@ from wrenchfeas import bundled_path, load_scene, wcm as wcm_module
 from wrenchfeas.errors import AnchorMismatch, WitnessOnBoundary
 from wrenchfeas.scenes import rotation_from_normal, scene_from_dict
 from wrenchfeas.wcm import (
+    BOUNDARY_BAND,
     WrenchConstraintMatrix,
+    compare_wcm_pair,
     modified_generators,
     trajectory_verdicts,
     wrench_verdicts,
@@ -331,6 +333,15 @@ class TestQueries:
         with pytest.raises(AnchorMismatch):
             wrench_feasible(wcm, Wrench([0, 0, 1], [0, 0, 0], scene.com + 0.1))
 
+    @pytest.mark.parametrize(
+        "rows", [np.zeros((0, 6)), np.zeros((3, 5)), np.zeros(6), np.zeros((2, 6, 1))],
+        ids=["no-rows", "five-columns", "one-dimensional", "three-dimensional"],
+    )
+    def test_rows_must_be_k_by_6(self, rows):
+        message = f"rows must be (k, 6) with k >= 1, got {rows.shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WrenchConstraintMatrix(rows, [0.0, 0.0, 0.0])
+
     def test_nan_anchor_is_a_mismatch(self, flat_foot_scene):
         # NaN in a component other than the first: a max over abs() or a
         # ``> tol`` test would let it through to a silent verdict.
@@ -410,6 +421,18 @@ class TestQueries:
         feasible, margin = acceleration_verdict(cls, None, scene.body, query, scene.com)
         assert margin is None
         assert feasible == acceleration_feasible(cls, None, scene.body, query, scene.com)
+
+    def test_columns_of_unequal_length_are_rejected(self, flat_foot_scene):
+        scene = flat_foot_scene
+        cls = classify(scene.config, scene.com)
+        wcm = build_wcm(scene.config, scene.com, cls.witness)
+        for columns in (
+            ([scene.com] * 2, [[0, 0, 0]], [None]),
+            ([scene.com], [[0, 0, 0]] * 2, [None]),
+            ([scene.com], [[0, 0, 0]], [None] * 2),
+        ):
+            with pytest.raises(ValueError, match="one entry per sample"):
+                trajectory_verdicts(cls, wcm, scene.body, *columns)
 
     def test_constrained_requires_wcm(self, flat_foot_scene):
         scene = flat_foot_scene
@@ -661,6 +684,63 @@ def test_wrench_verdicts_match_one_at_a_time(flat_foot_scene):
     for bad in (np.ones((4, 3)), np.ones(6), np.ones((2, 6, 1))):
         with pytest.raises(ValueError, match=re.escape(f"(T, 6) array, got shape {bad.shape}")):
             wrench_verdicts(wcm, bad, scene.com)
+
+
+@pytest.mark.parametrize("reference_kind", ["misplaced-rebuild", "one-row"])
+def test_compare_wcm_pair_matches_one_at_a_time(reference_kind):
+    # A shifted W against a reference it disagrees with on many samples, so
+    # every count, the split by the reference's verdict and the examples'
+    # orientation (wrench, reference verdict, margin against the compared
+    # matrix) are exercised.  A rebuild whose rows belong to another anchor
+    # rejects feasible generator combinations; one row of W alone admits
+    # Gaussian samples, whose scale the examples' wrenches then pin.
+    scene = load_scene(bundled_path("traverse_phase2"))
+    cls = classify(scene.config, scene.com)
+    delta = np.array([0.05, -0.02, 0.1])
+    target = scene.com + delta
+    shifted = shift_wcm(build_wcm(scene.config, scene.com, cls.witness), delta)
+    if reference_kind == "misplaced-rebuild":
+        rebuilt = build_wcm(scene.config, target, cls.witness)
+        reference = WrenchConstraintMatrix(shift_wcm(rebuilt, [0.3, 0.3, 0.0]).rows, target)
+    else:
+        reference = WrenchConstraintMatrix(shifted.rows[:1], target)
+    gen = build_generating_matrices(scene.config, target)
+    samples = 601
+    report = compare_wcm_pair(gen, shifted, reference, samples, rng_seed=1)
+
+    rng = np.random.default_rng(1)
+    stacked = gen.stacked()
+    counts = {"agree_feasible": 0, "agree_infeasible": 0, "boundary_excluded": 0}
+    disagreements = []
+    hint = 1.0
+    for k in range(samples):
+        if k % 2 == 0:
+            w6 = stacked @ rng.exponential(size=stacked.shape[1])
+            hint = max(hint, float(np.linalg.norm(w6)))
+        else:
+            w6 = rng.normal(size=6) * hint / np.sqrt(6.0)
+        wrench = Wrench(w6[:3], w6[3:], target)
+        truth = wrench_feasible(reference, wrench)
+        margin = wrench_margin(shifted, wrench)
+        near = min(abs(margin), abs(wrench_margin(reference, wrench)))
+        if wrench_feasible(shifted, wrench) == truth:
+            counts["agree_feasible" if truth else "agree_infeasible"] += 1
+        elif near <= BOUNDARY_BAND * (1.0 + np.linalg.norm(w6)):
+            counts["boundary_excluded"] += 1
+        else:
+            disagreements.append((w6, truth, margin))
+
+    assert report.agree_feasible == counts["agree_feasible"] > 0
+    assert report.agree_infeasible == counts["agree_infeasible"] > 0
+    assert report.boundary_excluded == counts["boundary_excluded"]
+    assert report.disagree == len(disagreements) >= 100
+    assert report.total == samples
+    assert len(report.examples) == 10
+    for (w6, truth, margin), (wrench, verdict, found) in zip(disagreements, report.examples):
+        assert np.allclose(wrench, w6, rtol=1e-12, atol=0.0)
+        assert not wrench.flags.writeable
+        assert verdict is truth
+        assert found == pytest.approx(margin, rel=1e-9, abs=1e-12 * (1.0 + np.linalg.norm(w6)))
 
 
 class TestConcurrentUse:
