@@ -42,9 +42,10 @@ print(f"\nshift by {delta}: {1e6 * t_shift:.0f} us")
 print(f"rebuild from scratch:  {1e3 * t_rebuild:.2f} ms")
 print(f"speedup: x{t_rebuild / t_shift:.0f}")
 
-# Same verdicts either way, on wrenches sampled around the new anchor, tallied
-# by the routine `wrenchfeas shift` calls: a disagreement within the boundary
-# band of either matrix is excluded, not counted.
+# Same verdicts either way, on wrenches about the new anchor that straddle the
+# rebuilt matrix's boundary, tallied by the routine `wrenchfeas shift` calls: a
+# disagreement within the boundary band of either matrix is excluded, not
+# counted.
 n = 2000
 tally = compare_wcm_pair(build_generating_matrices(scene.config, new_com), shifted, rebuilt, n, 3)
 print(

@@ -220,12 +220,6 @@ class GeneratingMatrices:
     moment_generators: np.ndarray
     anchor: np.ndarray
     _stacked: np.ndarray = field(init=False, repr=False, compare=False)
-    _stacked_prepared: PreparedMatrix | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
-    _force_prepared: PreparedMatrix | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
 
     def __post_init__(self):
         f = np.asarray(self.force_generators, dtype=float)
@@ -247,22 +241,16 @@ class GeneratingMatrices:
         (read-only)."""
         return self._stacked
 
+    # Threads that race on first use each prepare an identical problem.
+    @functools.cached_property
     def stacked_prepared(self) -> PreparedMatrix:
         """``stacked()`` prepared for NNLS membership solves."""
-        return self._prepared("_stacked_prepared", self._stacked)
+        return prepare(self._stacked)
 
+    @functools.cached_property
     def force_prepared(self) -> PreparedMatrix:
         """``force_generators`` prepared for NNLS membership solves."""
-        return self._prepared("_force_prepared", self.force_generators)
-
-    def _prepared(self, name: str, matrix: np.ndarray) -> PreparedMatrix:
-        # Lock-free: threads that race on first use each prepare an identical
-        # problem, and whichever is stored last is kept.
-        prepared = getattr(self, name)
-        if prepared is None:
-            prepared = prepare(matrix)
-            object.__setattr__(self, name, prepared)
-        return prepared
+        return prepare(self.force_generators)
 
 
 @dataclass(frozen=True)

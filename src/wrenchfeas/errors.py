@@ -6,7 +6,8 @@ class ZeroVector(ValueError):
 
 
 class LpFailure(RuntimeError):
-    """The oracle could not build a sample it needs from membership solves."""
+    """The boundary sampler (``wcm._straddle_pair``) found no ray from a
+    feasible wrench that leaves the cone it samples."""
 
 
 class WitnessOnBoundary(RuntimeError):

@@ -30,7 +30,9 @@ a single sample at the anchor.
 
 The verdict comparisons live here too: ``compare_wcm_oracle`` against the
 membership oracle, ``compare_wcm_pair`` between two matrices (``wrenchfeas
-shift``).  Both read ``W`` through ``wrench_verdicts`` and share one tally.
+shift``).  Both draw their wrenches with one boundary sampler, which brackets
+the boundary of whichever cone they take as truth, read ``W`` through
+``wrench_verdicts`` and share one tally.
 """
 
 import math
@@ -53,10 +55,10 @@ from .contacts import (
     build_generating_matrices,
     rotation_aligning_z,
 )
-from .errors import WitnessOnBoundary
+from .errors import LpFailure, WitnessOnBoundary
 from .feasibility import Classification
 from .hull import convex_hull
-from .oracle import _straddle_pair, wrench_membership_lp
+from .oracle import _membership, wrench_membership_lp
 
 POSITIVITY_EPS = 1e-10
 # The band of every verdict read from a constraint matrix: a wrench w with
@@ -278,6 +280,54 @@ def _tally(wrenches, truth, feasible, margins, near) -> AgreementReport:
     )
 
 
+def _straddle_pair(gen: GeneratingMatrices, rng: np.random.Generator, member):
+    """Two wrenches bracketing the boundary of the cone that ``member(w6)``
+    tests, along a random ray from a nonnegative combination of ``gen``'s
+    columns: ``(w6, True)`` that ``member`` accepts and ``(w6, False)`` that
+    it rejects, within 1e-3 relative of each other along the ray."""
+    stacked = gen.stacked()
+    for _ in range(50):
+        coeff = rng.exponential(size=stacked.shape[1])
+        base = stacked @ coeff
+        direction = rng.normal(size=6)
+        direction *= (1.0 + np.linalg.norm(base)) / np.linalg.norm(direction)
+        if member(direction):
+            continue  # ray direction inside the cone: it would never leave
+        lo, hi = 0.0, 1.0
+        while member(base + hi * direction):
+            lo = hi
+            hi *= 4.0
+            if hi > 2.0**40:
+                break  # never left the cone: draw another ray
+        else:
+            while hi - lo > 1e-3 * (1.0 + hi):
+                mid = 0.5 * (lo + hi)
+                if member(base + mid * direction):
+                    lo = mid
+                else:
+                    hi = mid
+            return (base + lo * direction, True), (base + hi * direction, False)
+    raise LpFailure("could not construct a boundary-straddling sample pair")
+
+
+def _boundary_samples(gen: GeneratingMatrices, n_samples: int, rng, member):
+    """``n_samples`` wrenches about ``gen``'s anchor, as an n x 6 array, and
+    their verdicts under ``member(w6)``: first ``n_samples // 2`` nonnegative
+    combinations of ``gen``'s columns (feasible), from one exponential draw,
+    then ``_straddle_pair`` pairs against ``member``."""
+    wrenches, truth = [], []
+    n_feasible = n_samples // 2
+    if n_feasible:
+        coeffs = rng.exponential(size=(gen.n_columns, n_feasible))
+        wrenches += list((gen.stacked() @ coeffs).T)
+        truth += [True] * n_feasible
+    while len(wrenches) < n_samples:
+        for w6, feasible in _straddle_pair(gen, rng, member)[: n_samples - len(wrenches)]:
+            wrenches.append(w6)
+            truth.append(feasible)
+    return np.array(wrenches).reshape(-1, 6), np.array(truth, dtype=bool)
+
+
 def compare_wcm_oracle(
     gen: GeneratingMatrices,
     wcm: WrenchConstraintMatrix,
@@ -286,28 +336,18 @@ def compare_wcm_oracle(
 ) -> AgreementReport:
     """Compare constraint-matrix verdicts against membership ground truth.
 
-    Half the samples are constructively feasible (nonnegative generator
-    combinations, so their feasibility certificate is the combination itself).
-    The other half are pairs bracketing the feasibility boundary, found by
-    walking a ray from a feasible wrench and bisecting with the membership
-    test.  Every oracle verdict was established by an actual solve; the
-    ``W`` side is one ``wrench_verdicts`` call on all samples.
+    The samples are ``_boundary_samples`` against the membership test: half
+    constructively feasible (their certificate is the combination itself),
+    half pairs bracketing the feasibility boundary, found by walking a ray
+    from a feasible wrench and bisecting with the membership test.  Every
+    oracle verdict was established by an actual solve; the ``W`` side is one
+    ``wrench_verdicts`` call on all samples.
     """
     _check_anchor(gen.anchor, wcm.anchor, "generators")
-    rng = np.random.default_rng(rng_seed)
-    wrenches, truth = [], []
-    n_feasible = n_samples // 2
-    if n_feasible:
-        coeffs = rng.exponential(size=(gen.n_columns, n_feasible))
-        wrenches += list((gen.stacked() @ coeffs).T)
-        truth += [True] * n_feasible
-    while len(wrenches) < n_samples:
-        for w6, feasible in _straddle_pair(gen, rng)[: n_samples - len(wrenches)]:
-            wrenches.append(w6)
-            truth.append(feasible)
-
-    wrenches = np.array(wrenches).reshape(-1, 6)
-    truth = np.array(truth, dtype=bool)
+    prepared, rng = gen.stacked_prepared, np.random.default_rng(rng_seed)
+    wrenches, truth = _boundary_samples(
+        gen, n_samples, rng, lambda w6: _membership(prepared, w6).feasible
+    )
     feasible, margins = wrench_verdicts(wcm, wrenches, gen.anchor)
     return _tally(wrenches, truth, feasible, margins, np.abs(margins))
 
@@ -319,20 +359,15 @@ def compare_wcm_pair(
     n_samples: int,
     rng_seed: int,
 ) -> AgreementReport:
-    """Compare ``wcm`` with ``reference``, taken as truth, on wrenches about
-    ``gen``'s anchor: every other one a nonnegative combination of ``gen``'s
-    columns, the ones between Gaussian, scaled by the largest combination so
-    far over sqrt(6).  A disagreement in either matrix's band is excluded."""
-    rng = np.random.default_rng(rng_seed)
-    draws = [
-        rng.exponential(size=gen.n_columns) if k % 2 == 0 else rng.normal(size=6)
-        for k in range(n_samples)
-    ]
-    wrenches = np.empty((n_samples, 6))
-    wrenches[0::2] = np.array(draws[0::2]).reshape(-1, gen.n_columns) @ gen.stacked().T
-    hints = np.maximum.accumulate(np.maximum(np.linalg.norm(wrenches[0::2], axis=1), 1.0))
-    gaussian = np.array(draws[1::2]).reshape(-1, 6)
-    wrenches[1::2] = gaussian * hints[: n_samples // 2, None] / np.sqrt(6.0)
+    """Compare ``wcm`` with ``reference``, taken as truth, on
+    ``_boundary_samples`` about ``gen``'s anchor that straddle
+    ``reference``'s boundary.  The truth on every sample is ``reference``'s
+    ``wrench_verdicts``; a disagreement in either matrix's band is excluded."""
+
+    def member(w6):
+        return _within_band(np.dot(reference.rows, w6).min(), math.hypot(*w6))
+
+    wrenches, _ = _boundary_samples(gen, n_samples, np.random.default_rng(rng_seed), member)
     feasible, margins = wrench_verdicts(wcm, wrenches, gen.anchor)
     truth, reference_margins = wrench_verdicts(reference, wrenches, gen.anchor)
     near = np.minimum(np.abs(margins), np.abs(reference_margins))

@@ -7,10 +7,14 @@ from wrenchfeas import (
     Contact,
     ContactConfiguration,
     FrictionCone,
+    Wrench,
     bundled_path,
     load_scene,
+    wrench_feasible,
+    wrench_margin,
 )
 from wrenchfeas.scenes import rotation_from_normal
+from wrenchfeas.wcm import BOUNDARY_BAND, _boundary_samples
 
 CONE = FrictionCone(0.8, 4)
 
@@ -95,6 +99,34 @@ def random_constrained_config(rng, n_contacts=4):
             Contact(point, rotation_from_normal(normal), FrictionCone(0.8, 4))
         )
     return ContactConfiguration(tuple(contacts))
+
+
+def reference_agreement(gen, wcm, reference, samples, seed):
+    """``compare_wcm_pair``'s tally, one sample at a time: the wrenches
+    ``wcm._boundary_samples`` draws against ``reference``'s verdict, each
+    judged by ``wrench_feasible`` and ``wrench_margin``.  Returns the counts
+    and the disagreements as (wrench, reference verdict, margin of ``wcm``)."""
+    about = gen.anchor
+
+    def reference_feasible(w6):
+        return wrench_feasible(reference, Wrench(w6[:3], w6[3:], about))
+
+    rng = np.random.default_rng(seed)
+    wrenches, _ = _boundary_samples(gen, samples, rng, reference_feasible)
+    counts = {"agree_feasible": 0, "agree_infeasible": 0, "boundary_excluded": 0}
+    disagreements = []
+    for w6 in wrenches:
+        wrench = Wrench(w6[:3], w6[3:], about)
+        truth = wrench_feasible(reference, wrench)
+        margin = wrench_margin(wcm, wrench)
+        near = min(abs(margin), abs(wrench_margin(reference, wrench)))
+        if wrench_feasible(wcm, wrench) == truth:
+            counts["agree_feasible" if truth else "agree_infeasible"] += 1
+        elif near <= BOUNDARY_BAND * (1.0 + np.linalg.norm(w6)):
+            counts["boundary_excluded"] += 1
+        else:
+            disagreements.append((w6, truth, margin))
+    return counts, disagreements
 
 
 @pytest.fixture

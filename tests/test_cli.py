@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from wrenchfeas import (
     MotionQuery,
-    Wrench,
     build_generating_matrices,
     build_wcm,
     bundled_path,
@@ -23,14 +22,14 @@ from wrenchfeas import (
     load_scene,
     required_wrench,
     shift_wcm,
-    wrench_feasible,
-    wrench_margin,
     wrench_membership_lp,
 )
 from wrenchfeas import wcm as wcm_module
 from wrenchfeas.cli import main
 from wrenchfeas.scenes import scene_from_dict
-from wrenchfeas.wcm import BOUNDARY_BAND, WrenchConstraintMatrix
+from wrenchfeas.wcm import WrenchConstraintMatrix
+
+from conftest import reference_agreement
 
 CONSTRAINED_SCENES = ["flat_foot"] + [f"traverse_phase{k}" for k in range(1, 7)]
 BUNDLED_SCENES = sorted(
@@ -277,45 +276,27 @@ def test_far_shift_names_the_shifted_matrix(capsys):
     assert "force" not in err
 
 
-def reference_agreement(shifted, rebuilt, stacked, about, samples, seed):
-    """The agreement tally of ``shift``, one sample at a time."""
-    rng = np.random.default_rng(seed)
-    tally = {"samples": samples, "agree": 0, "disagree": 0, "boundary_excluded": 0}
-    hint = 1.0
-    for k in range(samples):
-        if k % 2 == 0:
-            w6 = stacked @ rng.exponential(size=stacked.shape[1])
-            hint = max(hint, float(np.linalg.norm(w6)))
-        else:
-            w6 = rng.normal(size=6) * hint / np.sqrt(6.0)
-        wrench = Wrench(w6[:3], w6[3:], about)
-        a, b = wrench_feasible(shifted, wrench), wrench_feasible(rebuilt, wrench)
-        near = min(abs(wrench_margin(shifted, wrench)), abs(wrench_margin(rebuilt, wrench)))
-        if a == b:
-            tally["agree"] += 1
-        elif near <= BOUNDARY_BAND * (1.0 + np.linalg.norm(w6)):
-            tally["boundary_excluded"] += 1
-        else:
-            tally["disagree"] += 1
-    return tally
-
-
 class TestShift:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("name", CONSTRAINED_SCENES)
     def test_batched_tally_matches_one_at_a_time(self, capsys, monkeypatch, name, seed):
-        # A rebuild whose rows belong to another anchor disagrees with the
-        # shifted matrix on some samples, so the tally depends on every drawn
-        # sample and on the order of the draws.
+        # A rebuild with one more row, a plane through the middle of the
+        # generators' cone, rejects about half the generator combinations and
+        # admits points beyond the shifted matrix's facets, so the tally holds
+        # agreements of both verdicts and disagreements, and depends on every
+        # drawn sample and on the order of the draws.
         scene = load_scene(bundled_path(name))
 
-        def misplaced(config, com, v):
+        def halved(config, com, v):
             built = build_wcm(config, com, v)
             if np.array_equal(com, scene.com):
                 return built
-            return WrenchConstraintMatrix(shift_wcm(built, [0.3, 0.3, 0.0]).rows, built.anchor)
+            middle = build_generating_matrices(config, com).stacked().sum(axis=1)
+            cut = np.eye(6)[0] - middle * middle[0] / (middle @ middle)
+            rows = np.vstack([built.rows, cut / np.linalg.norm(cut)])
+            return WrenchConstraintMatrix(rows, built.anchor)
 
-        monkeypatch.setattr(cli, "build_wcm", misplaced)
+        monkeypatch.setattr(cli, "build_wcm", halved)
         code, report, _ = run_json(
             capsys, "shift", name, "--delta", "0.05,-0.02,0.1", "--samples", "301",
             "--seed", str(seed),
@@ -324,16 +305,21 @@ class TestShift:
         cls = classify(scene.config, scene.com)
         delta = np.array([0.05, -0.02, 0.1])
         target = scene.com + delta
-        expected = reference_agreement(
+        counts, disagreements = reference_agreement(
+            build_generating_matrices(scene.config, target),
             shift_wcm(build_wcm(scene.config, scene.com, cls.witness), delta),
-            misplaced(scene.config, target, cls.witness),
-            build_generating_matrices(scene.config, target).stacked(),
-            target,
+            halved(scene.config, target, cls.witness),
             301,
             seed,
         )
-        assert report["agreement"] == expected
-        assert expected["disagree"] > 100
+        assert report["agreement"] == {
+            "samples": 301,
+            "agree": counts["agree_feasible"] + counts["agree_infeasible"],
+            "disagree": len(disagreements),
+            "boundary_excluded": counts["boundary_excluded"],
+        }
+        assert len(disagreements) > 100
+        assert counts["agree_feasible"] > 0 and counts["agree_infeasible"] > 0
 
     def test_zero_delta_identical(self, capsys):
         code, report, _ = run_json(

@@ -143,8 +143,8 @@ class TestGeneratingMatrices:
     def test_prepared_problems_cached_outside_equality_and_repr(self):
         gen = build_generating_matrices(flat_foot_config(), [0, 0, 0.8])
         before = repr(gen)
-        stacked, force = gen.stacked_prepared(), gen.force_prepared()
-        assert gen.stacked_prepared() is stacked and gen.force_prepared() is force
+        stacked, force = gen.stacked_prepared, gen.force_prepared
+        assert gen.stacked_prepared is stacked and gen.force_prepared is force
         assert repr(gen) == before
         assert repr(build_generating_matrices(flat_foot_config(), [0, 0, 0.8])) == before
         assert "prepared" not in before

@@ -29,7 +29,7 @@ from wrenchfeas import bundled_path, load_scene, wcm as wcm_module
 from wrenchfeas.errors import AnchorMismatch, WitnessOnBoundary
 from wrenchfeas.scenes import rotation_from_normal, scene_from_dict
 from wrenchfeas.wcm import (
-    BOUNDARY_BAND,
+    _straddle_pair,
     WrenchConstraintMatrix,
     compare_wcm_pair,
     modified_generators,
@@ -42,6 +42,7 @@ from conftest import (
     line_foot_config,
     random_constrained_config,
     random_rotation,
+    reference_agreement,
     rotate_config,
     single_contact_config,
 )
@@ -692,8 +693,8 @@ def test_compare_wcm_pair_matches_one_at_a_time(reference_kind):
     # every count, the split by the reference's verdict and the examples'
     # orientation (wrench, reference verdict, margin against the compared
     # matrix) are exercised.  A rebuild whose rows belong to another anchor
-    # rejects feasible generator combinations; one row of W alone admits
-    # Gaussian samples, whose scale the examples' wrenches then pin.
+    # rejects most generator combinations; one row of W alone admits the low
+    # point of every pair that straddles it, which W rejects.
     scene = load_scene(bundled_path("traverse_phase2"))
     cls = classify(scene.config, scene.com)
     delta = np.array([0.05, -0.02, 0.1])
@@ -707,28 +708,7 @@ def test_compare_wcm_pair_matches_one_at_a_time(reference_kind):
     gen = build_generating_matrices(scene.config, target)
     samples = 601
     report = compare_wcm_pair(gen, shifted, reference, samples, rng_seed=1)
-
-    rng = np.random.default_rng(1)
-    stacked = gen.stacked()
-    counts = {"agree_feasible": 0, "agree_infeasible": 0, "boundary_excluded": 0}
-    disagreements = []
-    hint = 1.0
-    for k in range(samples):
-        if k % 2 == 0:
-            w6 = stacked @ rng.exponential(size=stacked.shape[1])
-            hint = max(hint, float(np.linalg.norm(w6)))
-        else:
-            w6 = rng.normal(size=6) * hint / np.sqrt(6.0)
-        wrench = Wrench(w6[:3], w6[3:], target)
-        truth = wrench_feasible(reference, wrench)
-        margin = wrench_margin(shifted, wrench)
-        near = min(abs(margin), abs(wrench_margin(reference, wrench)))
-        if wrench_feasible(shifted, wrench) == truth:
-            counts["agree_feasible" if truth else "agree_infeasible"] += 1
-        elif near <= BOUNDARY_BAND * (1.0 + np.linalg.norm(w6)):
-            counts["boundary_excluded"] += 1
-        else:
-            disagreements.append((w6, truth, margin))
+    counts, disagreements = reference_agreement(gen, shifted, reference, samples, seed=1)
 
     assert report.agree_feasible == counts["agree_feasible"] > 0
     assert report.agree_infeasible == counts["agree_infeasible"] > 0
@@ -741,6 +721,43 @@ def test_compare_wcm_pair_matches_one_at_a_time(reference_kind):
         assert not wrench.flags.writeable
         assert verdict is truth
         assert found == pytest.approx(margin, rel=1e-9, abs=1e-12 * (1.0 + np.linalg.norm(w6)))
+
+
+@pytest.mark.parametrize("name", ["flat_foot", "traverse_phase6"])
+def test_straddle_pairs_bracket_the_boundary_of_the_given_matrix(name):
+    scene = load_scene(bundled_path(name))
+    cls = classify(scene.config, scene.com)
+    wcm = build_wcm(scene.config, scene.com, cls.witness)
+
+    def member(w6):
+        return wrench_feasible(wcm, Wrench(w6[:3], w6[3:], scene.com))
+
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        (low, low_verdict), (high, high_verdict) = _straddle_pair(cls.generating, rng, member)
+        assert (low_verdict, high_verdict) == (True, False)
+        assert member(low) and not member(high)
+
+
+@pytest.mark.parametrize("name", ["flat_foot", "traverse_phase6"])
+def test_compare_wcm_pair_catches_a_missing_facet(name):
+    # A shifted W that lost one facet row admits wrenches beyond that facet.
+    # The samples straddle the rebuild's boundary, so for most facets some
+    # pair's infeasible point lies beyond it and W's verdict there differs.
+    scene = load_scene(bundled_path(name))
+    cls = classify(scene.config, scene.com)
+    delta = np.array([0.05, -0.02, 0.1])
+    target = scene.com + delta
+    shifted = shift_wcm(build_wcm(scene.config, scene.com, cls.witness), delta)
+    rebuilt = build_wcm(scene.config, target, cls.witness)
+    gen = build_generating_matrices(scene.config, target)
+    assert compare_wcm_pair(gen, shifted, rebuilt, 1000, rng_seed=0).disagree == 0
+    facets = shifted.n_rows - 1  # the last row asserts nonnegative normal force
+    caught = 0
+    for k in range(facets):
+        dropped = WrenchConstraintMatrix(np.delete(shifted.rows, k, axis=0), target)
+        caught += compare_wcm_pair(gen, dropped, rebuilt, 1000, rng_seed=0).disagree > 0
+    assert 2 * caught >= facets, f"{caught} of {facets} dropped facets caught"
 
 
 class TestConcurrentUse:
@@ -804,8 +821,8 @@ class TestConcurrentUse:
                 assert (have.coefficients is None) == (want.coefficients is None)
                 if want.coefficients is not None:
                     assert np.array_equal(have.coefficients, want.coefficients)
-        stacked = shared_gen.stacked_prepared()
-        assert np.array_equal(stacked.gram, cls.generating.stacked_prepared().gram)
+        stacked = shared_gen.stacked_prepared
+        assert np.array_equal(stacked.gram, cls.generating.stacked_prepared.gram)
 
 
 class TestFrameEquivariance:
