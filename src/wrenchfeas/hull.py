@@ -7,23 +7,26 @@ facet inequalities (sense ``normal . p >= offset``) with the equalities that
 pin the subspace.  Together they describe the hull exactly in the ambient
 space, which downstream code needs because single-contact and symmetric
 scenes genuinely produce flat point clouds.  Facet rows are qhull's own
-hyperplanes, deduplicated exactly by one sort: no tolerance decides which
-facets merge.  They come in the order qhull first reports each hyperplane;
-no canonical sort follows.
+hyperplanes, one per merged facet: qhull is not asked to triangulate (no
+``Qt``), so no facet arrives twice, no dedup pass follows and no tolerance
+decides which facets merge.  They come in qhull's facet-list order; no
+canonical sort follows.
 
-qhull runs with option ``Q5``.  It skips qhull's last pass, which measures
-how far the input points lie above each finished facet (its outer plane) and
-never moves a facet's hyperplane; this module reads only the hyperplanes
-(``equations``), so the option saves that pass and changes no bit of the
-result.  Passing an option drops scipy's default ``Qx`` for input of five or
-more dimensions, but qhull then selects the same exact merging itself.
+qhull is driven through scipy's ``_Qhull`` object, the one ``ConvexHull``
+itself wraps, because ``ConvexHull`` always adds ``Qt`` and builds simplex
+and neighbour arrays this module never reads.  It runs with option ``Q5``
+alone, which skips qhull's last pass: that pass measures how far the input
+points lie above each finished facet (its outer plane) and never moves a
+facet's hyperplane.  For input of five or more dimensions qhull selects exact
+merging (``Qx``) by itself.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import QhullError
+from scipy.spatial._qhull import _Qhull
 
 from .errors import DegenerateInput, HullFailure
 
@@ -86,30 +89,15 @@ def _canonical_basis(rows: np.ndarray) -> np.ndarray:
     return np.array(basis).reshape(len(rows), rows.shape[1])
 
 
-def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """The rows of a 2-D float array without exact copies, each kept at its
-    first occurrence, in input order.  One sort of each row's bytes as a
-    single key finds the copies: adding 0.0 turns -0.0 into 0.0, so two rows'
-    bytes are equal exactly when their values are.  A bytes key sorts faster
-    than a void one; it ignores trailing NUL bytes, but keys of one width
-    that differ anywhere still differ.  np.unique returns each key's first
-    occurrence; sorting those indices restores the input order."""
-    keys = (rows + 0.0).view(f"S{rows.itemsize * rows.shape[1]}")
-    first = np.unique(keys.ravel(), return_index=True)[1]
-    first.sort()
-    return rows[first]
-
-
 def convex_hull(points) -> HullResult:
     """Facets and equalities of the convex hull of a point cloud.
 
     Rank-deficient clouds are projected onto their affine hull, hulled there,
     and lifted back; the orthogonal directions become equalities.  A cloud of
     coincident points is a valid dimension-zero hull, not an error.  qhull
-    triangulates its output (scipy always passes ``Qt``), so a facet arrives
-    once per simplex, each copy carrying the facet's hyperplane bit for bit;
-    exact duplicates are dropped, keeping each row's first occurrence.  The
-    facets come in that first-occurrence order, qhull's, not sorted.
+    does not triangulate (no ``Qt``), so each merged facet's hyperplane
+    arrives once and no dedup follows.  The facets come in qhull's
+    facet-list order, not sorted.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
@@ -140,12 +128,13 @@ def convex_hull(points) -> HullResult:
         sub = np.array([[-1.0, y.min()], [1.0, -y.max()]])
     else:
         try:
-            hull = ConvexHull(projected, qhull_options="Q5")
+            qhull = _Qhull(b"i", projected, b"Q5")
         except QhullError as exc:
             raise HullFailure(f"qhull failed on projected cloud: {exc}") from exc
-        # Drop copies before the lift below: there, BLAS may round two copies
-        # of one row differently.
-        sub = _unique_rows(hull.equations)
+        try:
+            sub = qhull.get_hull_facets()[1]
+        finally:
+            qhull.close()
 
     normals = sub[:, :-1] @ basis
     norms = np.sqrt((normals * normals).sum(axis=1))  # np.linalg.norm's formula

@@ -184,6 +184,8 @@ def _read_json(path: Path):
             return json.load(handle)
     except json.JSONDecodeError as exc:
         raise SceneFormatError(f"{path}: invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SceneFormatError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 def load_scene(path) -> Scene:

@@ -62,6 +62,17 @@ def random_rotation(rng):
     return q
 
 
+def same_rows(a, b, tol):
+    """Equal row sets: same count, and each row within ``tol`` of a row of
+    the other."""
+    if a.shape != b.shape:
+        return False
+    if len(a) == 0:
+        return True
+    gap = np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
+    return bool(np.all(gap.min(axis=1) <= tol) and np.all(gap.min(axis=0) <= tol))
+
+
 def rotate_config(config, q):
     return ContactConfiguration(
         tuple(

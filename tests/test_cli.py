@@ -85,6 +85,14 @@ class TestAnalyze:
         assert code == 2
         assert "mass must be positive" in err
 
+    def test_non_utf8_scene_exits_2_naming_the_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"error: {path}: not UTF-8: invalid start byte at byte 0" in err
+
     def test_huge_normal_exits_2_without_numpy_warning(self, tmp_path):
         # An input error naming the field, with no numpy overflow warning on
         # the way and no blame on the rotation built from it.
@@ -492,6 +500,18 @@ class TestScenario:
         assert report["phases"][0]["classification"] == check["classification"]
         assert entry["margin"] == check["min_margin"]
 
+
+    def test_non_utf8_phase_scene_exits_2_naming_the_file(self, capsys, tmp_path):
+        (tmp_path / "latin1.json").write_bytes('{"mass": 60, "name": "pi\xe8ce"}'.encode("latin-1"))
+        sample = {"t": 0, "com": [0, 0, 0.8], "accel": [0, 0, 0]}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(
+            {"phases": [{"name": "only", "scene": "latin1.json", "com_trajectory": [sample]}]}
+        ))
+        code, out, err = run(capsys, "scenario", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"error: {tmp_path / 'latin1.json'}: not UTF-8: invalid continuation byte" in err
 
     def test_overflowing_sample_force_is_an_input_error(self, capsys, tmp_path):
         raw = json.load(open(bundled_path("flat_foot")))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 from wrenchfeas import (
     Contact,
@@ -21,11 +21,11 @@ from wrenchfeas import (
     load_scene,
 )
 from wrenchfeas import hull
-from wrenchfeas.errors import DegenerateInput
+from wrenchfeas.errors import DegenerateInput, HullFailure
 from wrenchfeas.scenes import rotation_from_normal
 from wrenchfeas.wcm import modified_generators
 
-from conftest import random_config
+from conftest import random_config, same_rows
 from wrenchfeas import build_generating_matrices
 
 # Two facet rows this close in every column (the offset relative to the cloud
@@ -67,17 +67,6 @@ def assert_description_valid(points, result, tol=1e-9):
     assert np.all(
         np.abs(pts @ result.equalities[:, :-1].T - result.equalities[:, -1]) <= tol
     )
-
-
-def same_rows(a, b, tol):
-    """Equal row sets: same count, and each row within ``tol`` of a row of
-    the other."""
-    if a.shape != b.shape:
-        return False
-    if len(a) == 0:
-        return True
-    gap = np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
-    return bool(np.all(gap.min(axis=1) <= tol) and np.all(gap.min(axis=0) <= tol))
 
 
 class TestAffineDimension:
@@ -203,8 +192,9 @@ class TestConvexHull:
             convex_hull(np.array([[0.0, np.inf]]))
 
     def test_traverse_phase2_cloud_merges_triangulated_facets(self):
-        # qhull triangulates, so each of the hull's 120 hyperplanes arrives
-        # as several raw facets; convex_hull keeps one row per hyperplane.
+        # scipy's ConvexHull triangulates, so each of the hull's 120
+        # hyperplanes arrives there as several simplices; convex_hull reads
+        # qhull's merged facets, one row per hyperplane.
         scene = load_scene(bundled_path("traverse_phase2"))
         cls = classify(scene.config, scene.com)
         mod = modified_generators(cls.generating, cls.witness)
@@ -319,7 +309,7 @@ def test_hull_properties(pts, data):
 
 
 def greedy_merge(rows, diameter):
-    """Tolerance reference for the facet dedup: keep each row not yet
+    """Tolerance reference for qhull's facet merging: keep each row not yet
     removed, in input order, and remove every row within ``MERGE_TOL`` of
     it."""
     offset_tol = MERGE_TOL * (1.0 + diameter)
@@ -335,7 +325,8 @@ def greedy_merge(rows, diameter):
 
 
 def raw_rows(pts):
-    """qhull's raw rows for ``pts``, in the frame ``convex_hull`` hulls in."""
+    """qhull's triangulated rows for ``pts`` (scipy's ``ConvexHull``, which
+    passes ``Qt``), in the frame ``convex_hull`` hulls in."""
     rank, basis, _, centroid = hull._affine_split(pts)
     projected = (pts - centroid) @ basis.T
     return ConvexHull(projected).equations * np.append(-np.ones(rank), 1.0)
@@ -348,9 +339,10 @@ def canonical(facets):
 
 
 def greedy_facets(pts):
-    """qhull's raw rows for ``pts``, in the frame ``convex_hull`` hulls in,
-    and the facets ``convex_hull`` would return if ``greedy_merge`` chose
-    the rows it keeps (lifted as it does), in ``canonical`` order."""
+    """qhull's triangulated rows for ``pts``, in the frame ``convex_hull``
+    hulls in, and the facets ``convex_hull`` would return if its merged
+    facets were ``greedy_merge``'s pick of those rows (lifted as it lifts),
+    in ``canonical`` order."""
     rank, basis, _, centroid = hull._affine_split(pts)
     projected = (pts - centroid) @ basis.T
     raw = raw_rows(pts)
@@ -400,7 +392,9 @@ def stance(rng, family, n, sides, mu):
 
 def test_merge_matches_greedy_on_sixteen_contact_stance():
     # Sixteen floor contacts with eight-sided pyramids and tilted normals:
-    # the largest stance shape, with over a thousand raw qhull facets.
+    # the largest stance shape, with over a thousand triangulated simplices.
+    # qhull's merged facets must be the tolerance merge of those simplices'
+    # rows: no hyperplane lost, none split in two.
     rng = np.random.default_rng(16)
     contacts = []
     for _ in range(16):
@@ -416,10 +410,11 @@ def test_merge_matches_greedy_on_sixteen_contact_stance():
 
 def test_merge_matches_greedy_on_seeded_stances():
     # qhull with Qt gives every simplex of a facet that facet's hyperplane
-    # bit for bit, so exact dedup keeps what the tolerance merge keeps.  A
-    # qhull that stopped copying hyperplanes exactly would fail here.  One to
-    # ten contacts keep the quadratic reference quick; the test above covers
-    # sixteen.
+    # bit for bit, so a tolerance merge of the triangulated rows keeps one
+    # row per merged facet, and convex_hull, which reads qhull's merged
+    # facets without Qt, must return exactly those rows.  A qhull whose merged
+    # facets split or lost a hyperplane would fail here.  One to ten contacts
+    # keep the quadratic reference quick; the test above covers sixteen.
     rng = np.random.default_rng(2016)
     hulled = merged = 0
     for k in range(240):
@@ -428,7 +423,7 @@ def test_merge_matches_greedy_on_seeded_stances():
         com = rng.uniform([-0.05, -0.05, 0.7], [0.05, 0.05, 0.9])
         pts = stance_cloud(config, com)
         if hull._affine_split(pts)[0] < 2:
-            continue  # no qhull call, nothing to dedup
+            continue  # no qhull call, nothing to merge
         raw, expected = greedy_facets(pts)
         assert np.array_equal(canonical(convex_hull(pts).facets), expected), k
         hulled += 1
@@ -437,84 +432,15 @@ def test_merge_matches_greedy_on_seeded_stances():
 
 
 def lexsort_unique_rows(rows):
-    """Reference for ``hull._unique_rows``: a stable lexsort over every
-    column, a comparison of adjacent sorted rows, and a mask indexed through
-    the sort order, which keeps each first occurrence in input order."""
+    """An exact dedup: a stable lexsort over every column, a comparison of
+    adjacent sorted rows, and a mask indexed through the sort order, which
+    keeps each first occurrence in input order."""
     order = np.lexsort(rows.T)
     ranked = rows[order]
     head = np.append(True, np.any(ranked[1:] != ranked[:-1], axis=1))
     keep = np.zeros(len(rows), dtype=bool)
     keep[order[head]] = True
     return rows[keep]
-
-
-def test_unique_rows_matches_lexsort_on_seeded_stances():
-    # The 240 stances of the sweep above: the same rows, in the same order,
-    # with the same bits, as the lexsort dedup.
-    rng = np.random.default_rng(2016)
-    compared = 0
-    for k in range(240):
-        mu = (0.0, 0.3, 0.5, 0.8)[k % 4]
-        config = stance(rng, "floor", int(rng.integers(1, 11)), int(rng.integers(3, 9)), mu)
-        com = rng.uniform([-0.05, -0.05, 0.7], [0.05, 0.05, 0.9])
-        pts = stance_cloud(config, com)
-        if hull._affine_split(pts)[0] < 2:
-            continue
-        raw = raw_rows(pts)
-        assert hull._unique_rows(raw).tobytes() == lexsort_unique_rows(raw).tobytes(), k
-        compared += 1
-    assert compared >= 200
-
-
-def test_unique_rows_treats_signed_zeros_as_equal():
-    # Rows that differ only in the sign of a zero are copies; the first one
-    # is kept with its own bits.
-    rows = np.array(
-        [
-            [-0.0, 1.0, 2.0],
-            [0.0, 1.0, 2.0],
-            [1.0, 0.0, 0.5],
-            [1.0, -0.0, 0.5],
-            [-0.0, 1.0, 2.0],
-            [3.0, 1.0, 2.0],
-        ]
-    )
-    kept = hull._unique_rows(rows)
-    assert kept.tobytes() == lexsort_unique_rows(rows).tobytes()
-    assert kept.tobytes() == rows[[0, 2, 5]].tobytes()
-
-
-def test_unique_rows_tells_apart_rows_that_differ_next_to_zero_bytes():
-    # The bytes key ignores trailing NUL bytes.  Rows of one width whose bytes
-    # differ anywhere, even beside runs of zero bytes, stay distinct: a zero
-    # last entry against a denormal one (one low byte set) and against one
-    # whose top byte alone is set, and the same in the first column.
-    top_byte = np.frombuffer(bytes(7) + b"\x01", "<f8")[0]
-    rows = np.array(
-        [
-            [1.0, 2.0, 0.0],
-            [1.0, 2.0, 5e-324],
-            [1.0, 2.0, top_byte],
-            [0.0, 2.0, 1.0],
-            [5e-324, 2.0, 1.0],
-            [1.0, 2.0, -0.0],
-            [1.0, 2.0, 5e-324],
-            [-0.0, 2.0, 1.0],
-        ]
-    )
-    kept = hull._unique_rows(rows)
-    assert kept.tobytes() == rows[:5].tobytes()
-    assert kept.tobytes() == lexsort_unique_rows(rows).tobytes()
-
-
-def hull_outcome(pts):
-    """``convex_hull``'s facets, equalities and affine dimension as bytes, or
-    the type and message of what it raised."""
-    try:
-        result = hull.convex_hull(pts)
-    except Exception as exc:
-        return type(exc), str(exc)
-    return result.facets.tobytes(), result.equalities.tobytes(), result.affine_dim
 
 
 def degenerate_clouds(rng):
@@ -532,13 +458,49 @@ def degenerate_clouds(rng):
         yield np.hstack([lattice, np.zeros((24, 5 - rank))]) + np.round(offset)
 
 
-def test_q5_moves_no_hyperplane(monkeypatch):
-    # qhull runs with Q5, which skips only the final pass that measures each
-    # facet's outer plane; convex_hull reads the facets' hyperplanes alone.
-    # So every row must match, bit for bit and in order, what scipy's
-    # ConvexHull with its default options gives, and so must any error.
-    # Most wall and mixed stances are unconstrained and have no cloud, so
-    # each cell is drawn three times.
+def row_set(rows):
+    """The rows of a 2-D float array sorted by value, as bytes: two arrays of
+    value-distinct rows give equal bytes exactly when their rows are the
+    same set, bit for bit."""
+    return rows[np.lexsort(rows.T)].tobytes()
+
+
+def triangulated_facets(pts):
+    """The facet rows ``convex_hull`` should return for ``pts``, from scipy's
+    public ``ConvexHull`` with its default options: qhull triangulates
+    (``Qt``), so each hyperplane arrives once per simplex; the copies are
+    dropped exactly by ``lexsort_unique_rows`` and the rest lifted as
+    ``convex_hull`` lifts.  A qhull error becomes ``HullFailure``, as there."""
+    rank, basis, _, centroid = hull._affine_split(pts)
+    projected = (pts - centroid) @ basis.T
+    try:
+        sub = lexsort_unique_rows(ConvexHull(projected).equations)
+    except QhullError:
+        raise HullFailure("qhull failed on projected cloud")
+    normals = sub[:, :-1] @ basis
+    norms = np.sqrt((normals * normals).sum(axis=1))
+    normals /= -norms[:, None]
+    return np.column_stack([normals, sub[:, -1] / norms + normals @ centroid])
+
+
+def facets_or_failure(hull_of, pts):
+    """``hull_of(pts)``, or None if it raised ``HullFailure``.  Only the type
+    is compared: qhull's message lists the options it ran with."""
+    try:
+        return hull_of(pts)
+    except HullFailure:
+        return None
+
+
+def test_merged_facets_match_deduplicated_triangulation():
+    # convex_hull reads qhull's merged facets, one hyperplane each, without
+    # Qt.  Triangulating splits a merged facet into simplices that each carry
+    # its hyperplane bit for bit, so after an exact dedup scipy's public
+    # ConvexHull must give the same rows, byte for byte as a set, and both
+    # must fail on the same clouds.  A scipy whose private _Qhull stopped
+    # matching what ConvexHull drives would fail here.  Most wall and mixed
+    # stances are unconstrained and have no cloud, so each cell is drawn
+    # three times.
     rng = np.random.default_rng(515)
     clouds = []
     per_family = dict.fromkeys(("floor", "walls", "mixed"), 0)
@@ -550,19 +512,19 @@ def test_q5_moves_no_hyperplane(monkeypatch):
                 if classify(config, com).constrained:
                     clouds.append(stance_cloud(config, com))
                     per_family[family] += 1
-    stances = len(clouds)
     clouds.extend(degenerate_clouds(rng))
-    with_q5 = [hull_outcome(pts) for pts in clouds]
 
-    calls = []
-
-    def default_options(points, **_):
-        calls.append(len(points))
-        return ConvexHull(points)
-
-    monkeypatch.setattr(hull, "ConvexHull", default_options)
+    ranks = set()
     for k, pts in enumerate(clouds):
-        assert hull_outcome(pts) == with_q5[k], k
-    ranks = {outcome[2] for outcome in with_q5[stances:]}
-    assert min(per_family.values()) >= 10 and len(calls) >= 150, (per_family, len(calls))
-    assert ranks == set(range(6))
+        rank = hull._affine_split(pts)[0]
+        if rank < 2:
+            continue  # no qhull call
+        ranks.add(rank)
+        got = facets_or_failure(lambda p: hull.convex_hull(p).facets, pts)
+        want = facets_or_failure(triangulated_facets, pts)
+        assert (got is None) == (want is None), k
+        if got is not None:
+            assert row_set(got) == row_set(want), k
+            assert len(lexsort_unique_rows(got)) == len(got), k
+    assert min(per_family.values()) >= 10, per_family
+    assert ranks == {2, 3, 4, 5}

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from wrenchfeas import (
@@ -44,6 +46,7 @@ from conftest import (
     random_rotation,
     reference_agreement,
     rotate_config,
+    same_rows,
     single_contact_config,
 )
 
@@ -926,6 +929,105 @@ def test_w_does_not_depend_on_witness_frame_spin(name, make, monkeypatch):
         clear = (np.abs(margins) > band) & (np.abs(base_margins) > band)
         assert clear.sum() >= 100
         assert np.array_equal(feasible[clear], base_feasible[clear])
+
+
+# An analytic oracle for W: the closed-form wrench cone of Caron, Pham and
+# Nakamura (ICRA 2015) for a rectangular support area, and the pinned-moment
+# cone of one contact.  Neither needs a hull, NNLS or LP, and unlike a
+# sampled check neither can miss a thin wrong region such as a lost facet.
+
+
+def _world_rows(local, rotation, lever):
+    """Rows ``[a | b]`` on a wrench in the contact frame about a point c,
+    rewritten for the world-frame wrench ``(f, tau)`` about anchor A, with
+    ``lever = A - c``: tau_c = tau + lever x f, so a . R^T f + b . R^T tau_c
+    = (R a + R b x lever) . f + R b . tau.  Unit rows."""
+    a, b = local[:, :3] @ rotation.T, local[:, 3:] @ rotation.T
+    rows = np.hstack([a + np.cross(b, lever), b])
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
+_POINTS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array)
+_ROTATIONS = st.integers(0, 2**32 - 1).map(lambda seed: random_rotation(np.random.default_rng(seed)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    half_x=st.floats(0.02, 0.5),
+    half_y=st.floats(0.02, 0.5),
+    mu=st.floats(0.05, 1.5),
+    rotation=_ROTATIONS,
+    centre=_POINTS,
+    anchor=_POINTS,
+)
+def test_rectangle_w_is_the_closed_form_wrench_cone(half_x, half_y, mu, rotation, centre, anchor):
+    # Four contacts at the corners (+-X, +-Y) of a rectangle, every one in
+    # the rectangle's frame.  The four-sided pyramid's edges lie at 45
+    # degrees, so its faces are |f_x|, |f_y| <= (mu / sqrt 2) f_z.  Caron et
+    # al. write the cone as U w <= 0 for the wrench about the centre in that
+    # frame: 16 rows, four of sliding, four of tipping and eight of yaw.  W's
+    # last row is the normal-force row, which the closed form implies.
+    cone = FrictionCone(mu, 4)
+    config = ContactConfiguration(tuple(
+        Contact(centre + rotation @ [sx * half_x, sy * half_y, 0.0], rotation, cone)
+        for sx in (-1, 1)
+        for sy in (-1, 1)
+    ))
+    cls = classify(config, anchor)
+    assert cls.constrained
+    matrix = build_wcm(config, anchor, cls.witness)
+
+    x, y, m = half_x, half_y, mu / np.sqrt(2.0)
+    u = np.array([
+        [-1, 0, -m, 0, 0, 0],
+        [1, 0, -m, 0, 0, 0],
+        [0, -1, -m, 0, 0, 0],
+        [0, 1, -m, 0, 0, 0],
+        [0, 0, -y, -1, 0, 0],
+        [0, 0, -y, 1, 0, 0],
+        [0, 0, -x, 0, -1, 0],
+        [0, 0, -x, 0, 1, 0],
+        [-y, -x, -(x + y) * m, m, m, -1],
+        [-y, x, -(x + y) * m, m, -m, -1],
+        [y, -x, -(x + y) * m, -m, m, -1],
+        [y, x, -(x + y) * m, -m, -m, -1],
+        [y, x, -(x + y) * m, m, m, 1],
+        [y, -x, -(x + y) * m, m, -m, 1],
+        [-y, x, -(x + y) * m, -m, m, 1],
+        [-y, -x, -(x + y) * m, -m, -m, 1],
+    ])
+    assert same_rows(matrix.rows[:-1], _world_rows(-u, rotation, anchor - centre), 1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mu=st.floats(0.05, 1.5), rotation=_ROTATIONS, point=_POINTS, anchor=_POINTS)
+def test_single_contact_w_is_the_pinned_moment_cone(mu, rotation, point, anchor):
+    # One contact: the force lies in the pyramid and the moment about the
+    # anchor is pinned to (p - A) x f.  Its cloud is flat, so W is 4 face
+    # rows, 3 +- pairs of equality rows and the normal-force row.  Face rows
+    # are fixed only up to the equality span: compare the spans, then the
+    # face rows projected off the span and rescaled to unit length.
+    config = ContactConfiguration((Contact(point, rotation, FrictionCone(mu, 4)),))
+    cls = classify(config, anchor)
+    assert cls.constrained
+    rows = build_wcm(config, anchor, cls.witness).rows[:-1]
+    assert rows.shape == (10, 6)
+
+    m = mu / np.sqrt(2.0)
+    faces = np.array([[-1, 0, m], [1, 0, m], [0, -1, m], [0, 1, m]]) @ rotation.T
+    # (p - A) x f - tau = 0; np.cross(d, I).T is the matrix of f -> d x f.
+    pinned = np.hstack([np.cross(point - anchor, np.eye(3)).T, -np.eye(3)])
+    span = _span_projector(pinned)
+
+    paired = np.abs(rows[:, None, :] + rows[None, :, :]).max(axis=2).min(axis=1) <= 1e-9
+    assert paired.sum() == 6
+    assert np.abs(_span_projector(rows[paired]) - span).max() <= 1e-9
+
+    def off_span(r):
+        r = r - r @ span
+        return r / np.linalg.norm(r, axis=1)[:, None]
+
+    assert same_rows(off_span(rows[~paired]), off_span(np.hstack([faces, np.zeros((4, 3))])), 1e-9)
 
 
 # Known faults, pinned as strict xfails: each asserts the correct answer, so
