@@ -3,8 +3,8 @@
 Each phase holds a different contact set (ground, a 45-degree incline, the
 wall's vertical face, its top surface).  The classification and the
 constraint matrix are computed once per phase; one ``trajectory_verdicts``
-call then answers every trajectory sample of the phase at the matrix's
-anchor, with no shifted matrix built per sample.
+call then answers every trajectory sample of the phase from that matrix,
+shifted to each sample's CoM by one 6x6 product.
 """
 
 import time

@@ -287,7 +287,9 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: construction costs far more than one parse.
     parser = argparse.ArgumentParser(
         prog="wrenchfeas",
         description="Wrench feasibility analysis for frictional multi-contact scenes",
@@ -323,12 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_bench)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Built once per process: construction costs far more than one parse.
-    return build_parser()
 
 
 def _is_vector_flag(token: str) -> bool:

@@ -33,6 +33,9 @@ MAX_DIRECTION = 1e150
 # tangent plane that classification no longer resolves the cone (a single
 # contact reads unconstrained from about 1e10, and overflows at 1e200).
 MAX_MU = 1e6
+# Most pyramid sides: far more than any friction model needs, and small
+# enough that a contact's generator arrays stay small.
+MAX_SIDES = 64
 _ZERO3 = np.zeros(3)
 _ZERO3.setflags(write=False)
 
@@ -97,7 +100,7 @@ class FrictionCone:
     ``mu`` is the friction coefficient and ``sides`` the number of pyramid
     edges.  Three sides is the smallest full-dimensional approximation.
     ``mu == 0`` is accepted and degenerates the pyramid to the normal ray;
-    ``mu`` above ``MAX_MU`` is rejected.
+    ``mu`` above ``MAX_MU`` and ``sides`` above ``MAX_SIDES`` are rejected.
     """
 
     mu: float
@@ -111,8 +114,8 @@ class FrictionCone:
                 f"mu of {self.mu:g} exceeds {MAX_MU:g}, "
                 "beyond which the contact's friction cone cannot be classified"
             )
-        if int(self.sides) != self.sides or self.sides < 3:
-            raise ValueError("sides must be an integer >= 3")
+        if int(self.sides) != self.sides or not 3 <= self.sides <= MAX_SIDES:
+            raise ValueError(f"sides must be an integer in [3, {MAX_SIDES}], got {self.sides}")
         object.__setattr__(self, "sides", int(self.sides))
 
 

@@ -22,11 +22,11 @@ construction:
 Once built for one anchor point, the matrix is re-anchored under a shift of
 the reference point by a single 6x6 multiply, because a wrench about the new
 point maps linearly to the same wrench about the old one.  That makes moving
-the reference point vastly cheaper than rebuilding.  A whole path of CoM
-samples needs no shifted matrix at all: ``trajectory_verdicts`` maps each
-sample's wrench back to the build anchor and answers the path in one batched
-product.  It is the one query path: ``acceleration_verdict`` is that call on
-a single sample at the anchor.
+the reference point vastly cheaper than rebuilding.  Every verdict reads
+``W`` one way: a wrench times the unit rows of ``W`` shifted to its reference
+point as ``shift_wcm`` shifts them.  ``trajectory_verdicts`` reads a path of
+CoM samples so, in batched products, and is the one query path:
+``acceleration_verdict`` is that call on a single sample at the anchor.
 
 The verdict comparisons live here too: ``compare_wcm_oracle`` against the
 membership oracle, ``compare_wcm_pair`` between two matrices (``wrenchfeas
@@ -235,14 +235,14 @@ def wrench_feasible(wcm: WrenchConstraintMatrix, wrench: Wrench) -> bool:
 
 
 def wrench_verdicts(wcm: WrenchConstraintMatrix, wrenches, about):
-    """``wrench_feasible`` and ``wrench_margin`` for many wrenches about
-    ``about``, given as the rows of a T x 6 array ``[force | moment]``, from
-    one product.  Returns a boolean array and a float array."""
+    """``wrench_feasible`` and ``wrench_margin``, to the bit, for many wrenches
+    about ``about``, given as the rows of a T x 6 array ``[force | moment]``.
+    Returns a boolean array and a float array."""
     _check_anchor(wcm.anchor, _as_vec3(about, "about"), "constraint matrix")
     wrenches = np.asarray(wrenches, dtype=float)
     if wrenches.ndim != 2 or wrenches.shape[1] != 6:
         raise ValueError(f"wrenches must be a (T, 6) array, got shape {wrenches.shape}")
-    margins = (wrenches @ wcm.rows.T).min(axis=1)
+    margins = (wcm.rows @ wrenches[:, :, None]).min(axis=1).ravel()
     norms = np.sqrt((wrenches * wrenches) @ _ONES6)
     return _within_band(margins, norms), margins
 
@@ -426,14 +426,14 @@ def trajectory_verdicts(
     given at one anchor, that of ``wcm`` when the configuration is
     constrained, else that of the classification's generators.
 
-    No matrix is shifted and no generators are built per sample.  Each
-    sample's required wrench about its CoM B is mapped to the same physical
-    wrench about the anchor A, ``m_A = m_B + (B - A) x f``.  Constrained, one
-    (k x 6)(6 x T) product gives every row's activation on the mapped
-    wrenches, and dividing by the norms the shifted rows would have,
-    ``|r_f + r_m x (B - A)|^2 + |r_m|^2``, gives ``shift_wcm``'s margins.
-    Unconstrained, each sample that pins the moment is one membership solve
-    on the generators, which are prepared once for all of them.
+    Every sample's CoM B must lie within ``MAX_SHIFT`` of the anchor A in
+    each component (else ``ValueError``), as for ``shift_wcm``.  No
+    generators are built per sample.  Constrained, each sample's margin is
+    ``wrench_margin(shift_wcm(wcm, B - A), w)``, to the bit, from batched
+    products: one shifts the rows for every sample, one reads each wrench.
+    Unconstrained, each sample that pins the moment is mapped to the same
+    wrench about A, ``T(B - A) w``, and is one membership solve on the
+    generators, which are prepared once for all of them.
     """
     constrained = classification.constrained
     if constrained and wcm is None:
@@ -450,47 +450,47 @@ def trajectory_verdicts(
     (gx, gy, gz), mass = body.gravity.tolist(), body.mass
     moments = [_required_moment(l_dot) for l_dot in l_dots]
     coms, accels, moments = np.array([coms, accels, moments], dtype=float).tolist()
-    # Per sample, on floats: required_wrench's force (the same operations),
-    # checked with the CoM on every sample; then, on each sample that is
-    # mapped, its moment, the wrench mapped to the anchor, the 2-norm the band
-    # reads, and skew(delta), the lower-left block of shift_wcm's T(delta).
-    pinned, mapped, norms, skews = [], [], [], []
+    # Per sample, on floats: required_wrench's force (the same operations)
+    # and the shift delta, both checked on every sample; then, on each sample
+    # that is read, its wrench about its own CoM, the 2-norm the band reads,
+    # and skew(delta), the lower-left block of shift_wcm's T(delta).
+    pinned, wrenches, norms, skews = [], [], [], []
     for t in range(count):
         (cx, cy, cz), (ux, uy, uz), (mx, my, mz) = coms[t], accels[t], moments[t]
         fx, fy, fz = mass * (ux - gx), mass * (uy - gy), mass * (uz - gz)
         dx, dy, dz = cx - ax, cy - ay, cz - az
-        if not all(map(math.isfinite, (dx, dy, dz))):
+        # shift_wcm's one scalar test: NaN fails it as surely as a component beyond the bound.
+        if not (abs(dx) <= MAX_SHIFT and abs(dy) <= MAX_SHIFT and abs(dz) <= MAX_SHIFT):
             raise ValueError(_overflow_message(dx, dy, dz))
         if not (math.isfinite(fx) and math.isfinite(fy) and math.isfinite(fz)):
             raise ValueError("force must have finite components")
         if not (constrained or l_dots[t] is not None):
             continue  # feasible: an unconstrained set admits every force
         pinned.append(t)
-        if not (abs(dx) <= MAX_SHIFT and abs(dy) <= MAX_SHIFT and abs(dz) <= MAX_SHIFT):
-            raise ValueError(_overflow_message(dx, dy, dz))
-        w6 = (fx, fy, fz, mx + (dy * fz - dz * fy))
-        w6 += (my + (dz * fx - dx * fz), mz + (dx * fy - dy * fx))
-        if not all(map(math.isfinite, w6)):
-            raise ValueError("a sample's required wrench about the anchor is not finite")
-        mapped += w6
+        wrenches += (fx, fy, fz, mx, my, mz)
         norms.append(math.hypot(fx, fy, fz, mx, my, mz))
         skews += (0.0, -dz, dy, dz, 0.0, -dx, -dy, dx, 0.0)
     if not pinned:
         return verdicts, margins
-    mapped = np.array(mapped).reshape(-1, 6)
-    mapped.setflags(write=False)
+    wrenches = np.array(wrenches).reshape(-1, 6, 1)
+    transfers = np.empty((len(pinned), 6, 6))
+    transfers[:] = _IDENTITY6
+    transfers[:, 3:, :3] = np.array(skews).reshape(-1, 3, 3)
     if not constrained:
+        # Each wrench about the anchor, T(delta) w; an overflow is an error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mapped = _freeze((transfers @ wrenches).reshape(-1, 6))
+        if not np.isfinite(mapped).all():
+            raise ValueError("a sample's required wrench about the anchor is not finite")
         for t, w6 in zip(pinned, mapped):
             wrench = _unchecked(Wrench, force=w6[:3], moment=w6[3:], about=anchor)
             verdicts[t] = wrench_membership_lp(gen, wrench).feasible
         return verdicts, margins
-    rows = wcm.rows
-    transfers = np.empty((len(pinned), 6, 6))
-    transfers[:] = _IDENTITY6
-    transfers[:, 3:, :3] = np.array(skews).reshape(-1, 3, 3)
-    shifted = rows @ transfers  # T x k x 6: every sample's shifted rows
-    activation = mapped @ rows.T  # T x k
-    found = (activation / np.sqrt((shifted * shifted) @ _ONES6)).min(axis=1).tolist()
+    # Every sample's shifted rows, T x k x 6, as shift_wcm makes them, each
+    # read on its own wrench by one matrix-vector product, as wrench_margin.
+    rows = wcm.rows @ transfers
+    rows /= np.sqrt((rows * rows) @ _ONES6)[:, :, None]
+    found = (rows @ wrenches).min(axis=1).ravel().tolist()
     for t, margin, norm in zip(pinned, found, norms):
         verdicts[t], margins[t] = _within_band(margin, norm), margin
     return verdicts, margins

@@ -525,10 +525,21 @@ class TestScenario:
         assert out == ""
         assert "overflow.json.phases[0].com_trajectory[0].accel" in err
 
-    @pytest.mark.parametrize("name", ["flat_foot", "two_walls"])
-    def test_far_sample_is_an_input_error(self, capsys, tmp_path, name):
+    # Unconstrained, a sample that leaves l_dot free is read from no matrix,
+    # yet its CoM has the same range rule as any other sample.
+    @pytest.mark.parametrize(
+        "name,l_dot",
+        [
+            pytest.param("flat_foot", [0, 0, 0], id="flat_foot"),
+            pytest.param("two_walls", [0, 0, 0], id="two_walls"),
+            pytest.param("two_walls", None, id="two_walls-free"),
+        ],
+    )
+    def test_far_sample_is_an_input_error(self, capsys, tmp_path, name, l_dot):
         raw = json.load(open(bundled_path(name)))
-        sample = {"t": 0, "com": [1e200, 0, 0.8], "accel": [0, 0, 0], "l_dot": [0, 0, 0]}
+        sample = {"t": 0, "com": [1e200, 0, 0.8], "accel": [0, 0, 0]}
+        if l_dot is not None:
+            sample["l_dot"] = l_dot
         path = tmp_path / "far.json"
         path.write_text(json.dumps(
             {"phases": [{"name": "far", "scene": raw, "com_trajectory": [sample]}]}

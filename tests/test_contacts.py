@@ -21,7 +21,7 @@ from wrenchfeas import (
     required_wrench,
     rotation_aligning_z,
 )
-from wrenchfeas.contacts import MAX_MU, ORTHONORMAL_TOL, GeneratingMatrices
+from wrenchfeas.contacts import MAX_MU, MAX_SIDES, ORTHONORMAL_TOL, GeneratingMatrices
 from wrenchfeas.errors import ZeroVector
 from wrenchfeas.scenes import rotation_from_normal
 
@@ -76,6 +76,15 @@ class TestConeGenerators:
 
     def test_mu_at_the_bound_accepted(self):
         assert FrictionCone(MAX_MU, 4).mu == 1e6
+
+    @pytest.mark.parametrize("sides", [65, 10**12, 1e12, 64.5])
+    def test_sides_beyond_the_bound_rejected(self, sides):
+        # Rejected before any generator array is sized by it.
+        with pytest.raises(ValueError, match=re.escape(f"sides must be an integer in [3, {MAX_SIDES}]")):
+            FrictionCone(0.8, sides)
+
+    def test_sides_at_the_bound_accepted(self):
+        assert cone_generators(FrictionCone(0.8, MAX_SIDES)).shape == (3, 64)
 
 
 class TestGeneratingMatrices:

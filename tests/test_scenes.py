@@ -190,6 +190,10 @@ class TestSceneParsing:
                 lambda d: d["contacts"][0].update(sides=4.0),
                 "scene.contacts[0].sides must be an integer",
             ),
+            (
+                lambda d: d["contacts"][0].update(sides=10**12),
+                "scene.contacts[0]: sides must be an integer in [3, 64], got 1000000000000",
+            ),
         ],
     )
     def test_errors_name_the_field(self, mutate, needle):
