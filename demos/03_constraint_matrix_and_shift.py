@@ -42,13 +42,12 @@ print(f"\nshift by {delta}: {1e6 * t_shift:.0f} us")
 print(f"rebuild from scratch:  {1e3 * t_rebuild:.2f} ms")
 print(f"speedup: x{t_rebuild / t_shift:.0f}")
 
-# Same verdicts either way, on wrenches about the new anchor that straddle the
-# rebuilt matrix's boundary, tallied by the routine `wrenchfeas shift` calls: a
-# disagreement within the boundary band of either matrix is excluded, not
-# counted.
-n = 2000
-tally = compare_wcm_pair(build_generating_matrices(scene.config, new_com), shifted, rebuilt, n, 3)
+# Same verdicts either way, tallied by the routine `wrenchfeas shift` calls:
+# on each face of the rebuilt matrix, one probe just inside and one just
+# outside, which only that face's row tells apart, plus every generator.  A
+# disagreement within the boundary band is excluded, not counted.
+tally = compare_wcm_pair(build_generating_matrices(scene.config, new_com), shifted, rebuilt)
 print(
-    f"verdicts on {n} sampled wrenches: {tally.agree_feasible + tally.agree_infeasible} agree, "
+    f"verdicts on {tally.total} probe wrenches: {tally.agree_feasible + tally.agree_infeasible} agree, "
     f"{tally.boundary_excluded} boundary-excluded, {tally.disagree} disagree"
 )

@@ -166,7 +166,7 @@ def cmd_shift(args) -> int:
     rebuilt, t_rebuild = _timed(lambda: build_wcm(scene.config, target_com, cls.witness))
 
     gen = build_generating_matrices(scene.config, target_com)
-    tally = compare_wcm_pair(gen, shifted, rebuilt, args.samples, args.seed)
+    tally = compare_wcm_pair(gen, shifted, rebuilt)
 
     report = {
         "command": "shift",
@@ -175,7 +175,7 @@ def cmd_shift(args) -> int:
         "shifted": {"anchor": shifted.anchor.tolist(), "rows": shifted.rows.tolist()},
         "timing_ms": {"shift": 1e3 * t_shift, "rebuild": 1e3 * t_rebuild},
         "agreement": {
-            "samples": args.samples,
+            "probes": tally.total,
             "agree": tally.agree_feasible + tally.agree_infeasible,
             "disagree": tally.disagree,
             "boundary_excluded": tally.boundary_excluded,
@@ -309,8 +309,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shift", help="re-anchor the constraint matrix and compare")
     p.add_argument("scene")
     p.add_argument("--delta", type=_triple, required=True, metavar="x,y,z")
-    p.add_argument("--samples", type=_at_least(1), default=1000)
-    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_shift)
 

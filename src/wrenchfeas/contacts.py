@@ -114,7 +114,9 @@ class FrictionCone:
                 f"mu of {self.mu:g} exceeds {MAX_MU:g}, "
                 "beyond which the contact's friction cone cannot be classified"
             )
-        if int(self.sides) != self.sides or not 3 <= self.sides <= MAX_SIDES:
+        # The range test first: it is False for NaN and rejects infinities,
+        # which int() could not convert.
+        if not 3 <= self.sides <= MAX_SIDES or int(self.sides) != self.sides:
             raise ValueError(f"sides must be an integer in [3, {MAX_SIDES}], got {self.sides}")
         object.__setattr__(self, "sides", int(self.sides))
 

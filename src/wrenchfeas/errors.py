@@ -6,8 +6,9 @@ class ZeroVector(ValueError):
 
 
 class LpFailure(RuntimeError):
-    """The boundary sampler (``wcm._straddle_pair``) found no ray from a
-    feasible wrench that leaves the cone it samples."""
+    """The boundary sampler of ``wcm.compare_wcm_oracle``
+    (``wcm._straddle_pair``) found no ray from a feasible wrench that leaves
+    the generators' cone."""
 
 
 class WitnessOnBoundary(RuntimeError):

@@ -29,10 +29,10 @@ CoM samples so, in batched products, and is the one query path:
 ``acceleration_verdict`` is that call on a single sample at the anchor.
 
 The verdict comparisons live here too: ``compare_wcm_oracle`` against the
-membership oracle, ``compare_wcm_pair`` between two matrices (``wrenchfeas
-shift``).  Both draw their wrenches with one boundary sampler, which brackets
-the boundary of whichever cone they take as truth, read ``W`` through
-``wrench_verdicts`` and share one tally.
+membership oracle, on wrenches from a boundary sampler that brackets the
+generators' cone, and ``compare_wcm_pair`` between two matrices (``wrenchfeas
+shift``), on probes placed on both sides of each face of the matrix taken as
+truth.  Both read ``W`` through ``wrench_verdicts`` and share one tally.
 """
 
 import math
@@ -264,12 +264,13 @@ class AgreementReport:
         return self.agree_feasible + self.agree_infeasible + self.disagree + self.boundary_excluded
 
 
-def _tally(wrenches, truth, feasible, margins, near) -> AgreementReport:
+def _tally(wrenches, truth, feasible, margins) -> AgreementReport:
     """``feasible`` against ``truth`` on the rows of ``wrenches``.  Differing
-    verdicts are excluded when ``near``, a ``|margin|``, is at most
+    verdicts are excluded when ``|margin|`` is at most
     ``BOUNDARY_BAND * (1 + |w|)``, where two tolerance models may differ."""
     agree = feasible == truth
-    excluded = ~agree & (near <= BOUNDARY_BAND * (1.0 + np.linalg.norm(wrenches, axis=1)))
+    near = np.abs(margins) <= BOUNDARY_BAND * (1.0 + np.linalg.norm(wrenches, axis=1))
+    excluded = ~agree & near
     disagree = np.flatnonzero(~(agree | excluded))
     examples = tuple(
         (_freeze(wrenches[i].copy()), bool(truth[i]), float(margins[i])) for i in disagree[:10]
@@ -280,12 +281,16 @@ def _tally(wrenches, truth, feasible, margins, near) -> AgreementReport:
     )
 
 
-def _straddle_pair(gen: GeneratingMatrices, rng: np.random.Generator, member):
-    """Two wrenches bracketing the boundary of the cone that ``member(w6)``
-    tests, along a random ray from a nonnegative combination of ``gen``'s
-    columns: ``(w6, True)`` that ``member`` accepts and ``(w6, False)`` that
-    it rejects, within 1e-3 relative of each other along the ray."""
-    stacked = gen.stacked()
+def _straddle_pair(gen: GeneratingMatrices, rng: np.random.Generator):
+    """Two wrenches bracketing the boundary of ``gen``'s cone, by the
+    membership test, along a random ray from a nonnegative combination of
+    its columns: ``(w6, True)`` that the test accepts and ``(w6, False)``
+    that it rejects, within 1e-3 relative of each other along the ray."""
+    stacked, prepared = gen.stacked(), gen.stacked_prepared
+
+    def member(w6):
+        return _membership(prepared, w6).feasible
+
     for _ in range(50):
         coeff = rng.exponential(size=stacked.shape[1])
         base = stacked @ coeff
@@ -310,11 +315,11 @@ def _straddle_pair(gen: GeneratingMatrices, rng: np.random.Generator, member):
     raise LpFailure("could not construct a boundary-straddling sample pair")
 
 
-def _boundary_samples(gen: GeneratingMatrices, n_samples: int, rng, member):
+def _boundary_samples(gen: GeneratingMatrices, n_samples: int, rng):
     """``n_samples`` wrenches about ``gen``'s anchor, as an n x 6 array, and
-    their verdicts under ``member(w6)``: first ``n_samples // 2`` nonnegative
+    their membership verdicts: first ``n_samples // 2`` nonnegative
     combinations of ``gen``'s columns (feasible), from one exponential draw,
-    then ``_straddle_pair`` pairs against ``member``."""
+    then ``_straddle_pair`` pairs."""
     wrenches, truth = [], []
     n_feasible = n_samples // 2
     if n_feasible:
@@ -322,7 +327,7 @@ def _boundary_samples(gen: GeneratingMatrices, n_samples: int, rng, member):
         wrenches += list((gen.stacked() @ coeffs).T)
         truth += [True] * n_feasible
     while len(wrenches) < n_samples:
-        for w6, feasible in _straddle_pair(gen, rng, member)[: n_samples - len(wrenches)]:
+        for w6, feasible in _straddle_pair(gen, rng)[: n_samples - len(wrenches)]:
             wrenches.append(w6)
             truth.append(feasible)
     return np.array(wrenches).reshape(-1, 6), np.array(truth, dtype=bool)
@@ -336,42 +341,76 @@ def compare_wcm_oracle(
 ) -> AgreementReport:
     """Compare constraint-matrix verdicts against membership ground truth.
 
-    The samples are ``_boundary_samples`` against the membership test: half
-    constructively feasible (their certificate is the combination itself),
-    half pairs bracketing the feasibility boundary, found by walking a ray
-    from a feasible wrench and bisecting with the membership test.  Every
-    oracle verdict was established by an actual solve; the ``W`` side is one
+    The samples are ``_boundary_samples``: half constructively feasible
+    (their certificate is the combination itself), half pairs bracketing the
+    feasibility boundary, found by walking a ray from a feasible wrench and
+    bisecting with the membership test.  Every oracle verdict was
+    established by an actual solve; the ``W`` side is one
     ``wrench_verdicts`` call on all samples.
     """
     _check_anchor(gen.anchor, wcm.anchor, "generators")
-    prepared, rng = gen.stacked_prepared, np.random.default_rng(rng_seed)
-    wrenches, truth = _boundary_samples(
-        gen, n_samples, rng, lambda w6: _membership(prepared, w6).feasible
-    )
+    wrenches, truth = _boundary_samples(gen, n_samples, np.random.default_rng(rng_seed))
     feasible, margins = wrench_verdicts(wcm, wrenches, gen.anchor)
-    return _tally(wrenches, truth, feasible, margins, np.abs(margins))
+    return _tally(wrenches, truth, feasible, margins)
+
+
+def _facet_probes(gen: GeneratingMatrices, wcm: WrenchConstraintMatrix):
+    """Wrenches about ``gen``'s anchor that test each face of ``wcm`` from
+    both sides, as a T x 6 array, and their verdicts under ``wcm``.
+
+    A generator is on row i's face when the row reads its unit column within
+    ``MEMBERSHIP_EPS``.  For each row with such generators, c is the
+    normalized sum of them, a point in the face, and d is the row with its
+    part in the span of the equality rows (those on which every generator
+    lies) removed, so that a step along d stays in a flat cloud's span.  The
+    outside probe c - eps d (infeasible) goes eps = max(h, 10 *
+    BOUNDARY_BAND) deep, where h is half the smallest slack beyond
+    ``MEMBERSHIP_EPS`` of the other rows at c; the inside probe c + h d
+    (feasible) goes h deep, so that no other row rejects it.  An equality
+    row steps along itself and has only the outside probe: both sides of
+    its plane are outside.  Last come the unit generators, all feasible.
+    """
+    stacked = gen.stacked()
+    unit = stacked / np.sqrt((stacked * stacked).sum(axis=0))
+    rows = wcm.rows
+    tight = np.abs(rows @ unit) <= MEMBERSHIP_EPS
+    faces = np.flatnonzero(tight.any(axis=1))
+    equality = tight.all(axis=1)
+    span = rows[equality]
+    steps = rows.copy()
+    steps[~equality] -= rows[~equality] @ np.linalg.pinv(span) @ span
+    steps = steps[faces] / np.linalg.norm(steps[faces], axis=1)[:, None]
+    centers = tight[faces].astype(float) @ unit.T
+    centers /= np.linalg.norm(centers, axis=1)[:, None]
+    slack = rows @ centers.T
+    slack[faces, np.arange(faces.size)] = np.inf  # the face's own row
+    slack[slack <= MEMBERSHIP_EPS] = np.inf
+    # Unit rows read at most 1 at a unit point, so the initial value binds
+    # only when no other row has slack there.
+    half = 0.5 * slack.min(axis=0, initial=1.0)
+    depth = np.maximum(half, 10.0 * BOUNDARY_BAND)
+    two_sided = ~equality[faces]
+    inside = centers[two_sided] + half[two_sided, None] * steps[two_sided]
+    outside = centers - depth[:, None] * steps
+    wrenches = np.concatenate([inside, outside, unit.T])
+    truth = np.repeat([True, False, True], [len(inside), len(outside), unit.shape[1]])
+    return wrenches, truth
 
 
 def compare_wcm_pair(
     gen: GeneratingMatrices,
     wcm: WrenchConstraintMatrix,
     reference: WrenchConstraintMatrix,
-    n_samples: int,
-    rng_seed: int,
 ) -> AgreementReport:
     """Compare ``wcm`` with ``reference``, taken as truth, on
-    ``_boundary_samples`` about ``gen``'s anchor that straddle
-    ``reference``'s boundary.  The truth on every sample is ``reference``'s
-    ``wrench_verdicts``; a disagreement in either matrix's band is excluded."""
-
-    def member(w6):
-        return _within_band(np.dot(reference.rows, w6).min(), math.hypot(*w6))
-
-    wrenches, _ = _boundary_samples(gen, n_samples, np.random.default_rng(rng_seed), member)
+    ``_facet_probes`` of ``reference`` about ``gen``'s anchor: a probe on
+    each side of every face, where only that face's row tells the two apart,
+    and the generators themselves, which every sound ``W`` admits.
+    The ``W`` side is one ``wrench_verdicts`` call on all probes."""
+    _check_anchor(gen.anchor, reference.anchor, "generators")
+    wrenches, truth = _facet_probes(gen, reference)
     feasible, margins = wrench_verdicts(wcm, wrenches, gen.anchor)
-    truth, reference_margins = wrench_verdicts(reference, wrenches, gen.anchor)
-    near = np.minimum(np.abs(margins), np.abs(reference_margins))
-    return _tally(wrenches, truth, feasible, margins, near)
+    return _tally(wrenches, truth, feasible, margins)
 
 
 def acceleration_verdict(

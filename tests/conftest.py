@@ -14,7 +14,7 @@ from wrenchfeas import (
     wrench_margin,
 )
 from wrenchfeas.scenes import rotation_from_normal
-from wrenchfeas.wcm import BOUNDARY_BAND, _boundary_samples
+from wrenchfeas.wcm import BOUNDARY_BAND, _facet_probes
 
 CONE = FrictionCone(0.8, 4)
 
@@ -112,28 +112,21 @@ def random_constrained_config(rng, n_contacts=4):
     return ContactConfiguration(tuple(contacts))
 
 
-def reference_agreement(gen, wcm, reference, samples, seed):
-    """``compare_wcm_pair``'s tally, one sample at a time: the wrenches
-    ``wcm._boundary_samples`` draws against ``reference``'s verdict, each
-    judged by ``wrench_feasible`` and ``wrench_margin``.  Returns the counts
-    and the disagreements as (wrench, reference verdict, margin of ``wcm``)."""
-    about = gen.anchor
-
-    def reference_feasible(w6):
-        return wrench_feasible(reference, Wrench(w6[:3], w6[3:], about))
-
-    rng = np.random.default_rng(seed)
-    wrenches, _ = _boundary_samples(gen, samples, rng, reference_feasible)
+def reference_agreement(gen, wcm, reference):
+    """``compare_wcm_pair``'s tally, one probe at a time: the wrenches
+    ``wcm._facet_probes`` places on ``reference``'s faces, with their
+    verdicts, each judged by ``wrench_feasible`` and ``wrench_margin``.
+    Returns the counts and the disagreements as (wrench, probe verdict,
+    margin of ``wcm``)."""
     counts = {"agree_feasible": 0, "agree_infeasible": 0, "boundary_excluded": 0}
     disagreements = []
-    for w6 in wrenches:
-        wrench = Wrench(w6[:3], w6[3:], about)
-        truth = wrench_feasible(reference, wrench)
+    wrenches, verdicts = _facet_probes(gen, reference)
+    for w6, truth in zip(wrenches, verdicts.tolist()):
+        wrench = Wrench(w6[:3], w6[3:], gen.anchor)
         margin = wrench_margin(wcm, wrench)
-        near = min(abs(margin), abs(wrench_margin(reference, wrench)))
         if wrench_feasible(wcm, wrench) == truth:
             counts["agree_feasible" if truth else "agree_infeasible"] += 1
-        elif near <= BOUNDARY_BAND * (1.0 + np.linalg.norm(w6)):
+        elif abs(margin) <= BOUNDARY_BAND * (1.0 + np.linalg.norm(w6)):
             counts["boundary_excluded"] += 1
         else:
             disagreements.append((w6, truth, margin))

@@ -192,7 +192,7 @@ class TestCheck:
         ["bench", "flat_foot", "--reps", "0"],
         ["shift", "flat_foot", "--delta", "0,0,0", "--samples", "-3"],
         ["check", "flat_foot", "--accel", "1e308,0,0"],
-        ["shift", "flat_foot", "--samples", "2", "--delta", "1e200,0,0"],
+        ["shift", "flat_foot", "--delta", "1e200,0,0"],
         ["shift", "flat_foot", "--delta", "0,0,0", "--samples", "2", "--seed", "-1"],
         ["check", "flat_foot", "--accel", "a,b,c"],
     ],
@@ -241,7 +241,7 @@ def test_report_bytes_match_streamed_json_dump(capsys, argv):
         ["check", "flat_foot", "--accel", "-0.5,2,-19.62"],
         ["check", "flat_foot", "--accel", "0,0,0", "--ldot", "-1,0,0"],
         ["check", "two_walls", "--accel", ".5,0,0", "--ldot", "-.5,0,0"],
-        ["shift", "flat_foot", "--delta", "-0.05,0,0", "--samples", "50"],
+        ["shift", "flat_foot", "--delta", "-0.05,0,0"],
         ["check", "flat_foot", "--acc", "-1,0,0", "--l", "-1,0,0"],
     ],
     ids=["accel", "accel-infeasible", "ldot", "ldot-unconstrained", "delta", "prefixes"],
@@ -267,7 +267,7 @@ def test_negative_vector_flag_reads_as_the_equals_form(capsys, argv):
         ["check", "flat_foot", "--accel"],
         ["check", "flat_foot", "--accel", "0,0,0", "--ldot"],
         ["shift", "flat_foot", "--delta"],
-        ["shift", "flat_foot", "--delta", "--samples", "5"],
+        ["shift", "flat_foot", "--delta", "--csv", "shift.csv"],
     ],
     ids=["accel", "ldot", "delta", "delta-before-flag"],
 )
@@ -278,79 +278,81 @@ def test_vector_flag_without_value_is_an_input_error(capsys, argv):
 
 
 def test_far_shift_names_the_shifted_matrix(capsys):
-    code, out, err = run(capsys, "shift", "flat_foot", "--delta", "1e200,0,0", "--samples", "2")
+    code, out, err = run(capsys, "shift", "flat_foot", "--delta", "1e200,0,0")
     assert code == 2 and out == ""
     assert "--delta" in err and "shifted constraint matrix overflows" in err
     assert "force" not in err
 
 
 class TestShift:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
     @pytest.mark.parametrize("name", CONSTRAINED_SCENES)
-    def test_batched_tally_matches_one_at_a_time(self, capsys, monkeypatch, name, seed):
-        # A rebuild with one more row, a plane through the middle of the
-        # generators' cone, rejects about half the generator combinations and
-        # admits points beyond the shifted matrix's facets, so the tally holds
-        # agreements of both verdicts and disagreements, and depends on every
-        # drawn sample and on the order of the draws.
+    def test_batched_tally_matches_one_at_a_time(self, capsys, monkeypatch, name, axis):
+        # A shifted matrix with one more row, a plane through the sum of the
+        # generators whose normal is force axis ``axis`` made orthogonal to
+        # that sum, rejects about half the generators and the inside probes
+        # on one side of it, so the tally holds agreements of both verdicts
+        # and disagreements.
         scene = load_scene(bundled_path(name))
 
-        def halved(config, com, v):
-            built = build_wcm(config, com, v)
-            if np.array_equal(com, scene.com):
-                return built
-            middle = build_generating_matrices(config, com).stacked().sum(axis=1)
-            cut = np.eye(6)[0] - middle * middle[0] / (middle @ middle)
-            rows = np.vstack([built.rows, cut / np.linalg.norm(cut)])
-            return WrenchConstraintMatrix(rows, built.anchor)
+        def halved(wcm, delta):
+            shifted = shift_wcm(wcm, delta)
+            middle = build_generating_matrices(scene.config, shifted.anchor).stacked().sum(axis=1)
+            cut = np.eye(6)[axis] - middle * middle[axis] / (middle @ middle)
+            rows = np.vstack([shifted.rows, cut / np.linalg.norm(cut)])
+            return WrenchConstraintMatrix(rows, shifted.anchor)
 
-        monkeypatch.setattr(cli, "build_wcm", halved)
-        code, report, _ = run_json(
-            capsys, "shift", name, "--delta", "0.05,-0.02,0.1", "--samples", "301",
-            "--seed", str(seed),
-        )
+        monkeypatch.setattr(cli, "shift_wcm", halved)
+        code, report, _ = run_json(capsys, "shift", name, "--delta", "0.05,-0.02,0.1")
         assert code == 0
         cls = classify(scene.config, scene.com)
         delta = np.array([0.05, -0.02, 0.1])
         target = scene.com + delta
         counts, disagreements = reference_agreement(
             build_generating_matrices(scene.config, target),
-            shift_wcm(build_wcm(scene.config, scene.com, cls.witness), delta),
-            halved(scene.config, target, cls.witness),
-            301,
-            seed,
+            halved(build_wcm(scene.config, scene.com, cls.witness), delta),
+            build_wcm(scene.config, target, cls.witness),
         )
+        probes = sum(counts.values()) + len(disagreements)
         assert report["agreement"] == {
-            "samples": 301,
+            "probes": probes,
             "agree": counts["agree_feasible"] + counts["agree_infeasible"],
             "disagree": len(disagreements),
             "boundary_excluded": counts["boundary_excluded"],
         }
-        assert len(disagreements) > 100
+        assert len(disagreements) >= 0.1 * probes
         assert counts["agree_feasible"] > 0 and counts["agree_infeasible"] > 0
 
+    @pytest.mark.parametrize("name", CONSTRAINED_SCENES)
+    def test_zero_delta_agrees_on_every_probe(self, capsys, name):
+        code, report, _ = run_json(capsys, "shift", name, "--delta", "0,0,0")
+        agreement = report["agreement"]
+        assert code == 0
+        assert agreement["agree"] == agreement["probes"] > 0
+        assert agreement["disagree"] == agreement["boundary_excluded"] == 0
+
     def test_zero_delta_identical(self, capsys):
-        code, report, _ = run_json(
-            capsys, "shift", "flat_foot", "--delta", "0,0,0", "--samples", "200"
-        )
+        code, report, _ = run_json(capsys, "shift", "flat_foot", "--delta", "0,0,0")
         assert code == 0
         assert report["agreement"]["disagree"] == 0
         assert np.allclose(report["original"]["rows"], report["shifted"]["rows"])
 
     def test_generic_delta(self, capsys):
-        code, report, _ = run_json(
-            capsys, "shift", "flat_foot", "--delta", "0.05,-0.02,0.1",
-            "--samples", "400",
-        )
+        code, report, _ = run_json(capsys, "shift", "flat_foot", "--delta", "0.05,-0.02,0.1")
         assert code == 0
         assert report["agreement"]["disagree"] == 0
         assert report["timing_ms"]["shift"] < report["timing_ms"]["rebuild"]
 
+    @pytest.mark.parametrize("option", [["--samples", "5"], ["--seed", "0"]])
+    def test_sampling_options_are_gone(self, capsys, option):
+        code, out, err = run(capsys, "shift", "flat_foot", "--delta", "0,0,0", *option)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {' '.join(option)}" in err
+
     def test_csv_holds_the_report_timings(self, capsys, tmp_path):
         csv_path = tmp_path / "shift.csv"
         code, report, _ = run_json(
-            capsys, "shift", "flat_foot", "--delta", "0.05,-0.02,0.1",
-            "--samples", "10", "--csv", str(csv_path),
+            capsys, "shift", "flat_foot", "--delta", "0.05,-0.02,0.1", "--csv", str(csv_path)
         )
         assert code == 0
         with open(csv_path, newline="") as handle:

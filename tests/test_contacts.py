@@ -77,7 +77,9 @@ class TestConeGenerators:
     def test_mu_at_the_bound_accepted(self):
         assert FrictionCone(MAX_MU, 4).mu == 1e6
 
-    @pytest.mark.parametrize("sides", [65, 10**12, 1e12, 64.5])
+    @pytest.mark.parametrize(
+        "sides", [65, 10**12, 1e12, 64.5, float("inf"), float("-inf"), float("nan")]
+    )
     def test_sides_beyond_the_bound_rejected(self, sides):
         # Rejected before any generator array is sized by it.
         with pytest.raises(ValueError, match=re.escape(f"sides must be an integer in [3, {MAX_SIDES}]")):

@@ -304,20 +304,38 @@ def test_negative_zero_target_is_zero():
     assert residual == 0.0
 
 
-@pytest.mark.xfail(strict=True, reason="the stop test is absolute, not relative to |r|")
-def test_stop_test_sees_a_gradient_small_only_in_absolute_terms():
-    # After the first step r = (1e-7, 0), and column 1's gradient, 3.3e-15,
-    # is below the stop tolerance 10 eps n = 4.4e-15, although relative to
-    # |r| it is 3.3e-8.  x = (4, 1) reaches the target exactly.
-    a = np.array([[0.0, 1e-7], [1.0, -3.0]])
-    b = np.array([1e-7, 1.0])
-    x, residual = solve(a, b)
-    assert residual <= 1e-12
-    assert x == pytest.approx([4.0, 1.0], rel=1e-9)
+@pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 2: the stop test is absolute, not relative to |r|"
+)
+@pytest.mark.parametrize(
+    "a, b, tol, fit",
+    [
+        # After the first step r = (1e-7, 0), and column 1's gradient,
+        # 3.3e-15, is below the stop tolerance 10 eps n = 4.4e-15, although
+        # relative to |r| it is 3.3e-8.  x = (4, 1) reaches the target exactly.
+        ([[0.0, 1e-7], [1.0, -3.0]], [1e-7, 1.0], 1e-12, [4.0, 1.0]),
+        # The solve stops at x = (0.5, 0, 0), relative residual 5.0e-8:
+        # column 2's gradient, 2.2e-15, is below the stop tolerance 6.7e-15,
+        # although relative to |r| it is 4.4e-8.  x = (0, 0, 1) fits exactly
+        # (column 1 is zero, so the fit is not unique).
+        (
+            [[0.0, 0.0, 0.0], [2.0, 0.0, 1.0], [1e-7, 0.0, 0.0]],
+            [0.0, 1.0, 0.0],
+            MEMBERSHIP_TOL,
+            None,
+        ),
+    ],
+    ids=["two-columns", "zero-column"],
+)
+def test_stop_test_sees_a_gradient_small_only_in_absolute_terms(a, b, tol, fit):
+    x, residual = solve(np.array(a), np.array(b))
+    assert residual <= tol
+    if fit is not None:
+        assert x == pytest.approx(fit, rel=1e-9)
 
 
 @pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 3: a gradient entry lost in rounding stops short of a fit"
+    strict=True, reason="ROADMAP item 2: a gradient entry lost in rounding stops short of a fit"
 )
 def test_reaches_a_fit_admitted_only_by_a_gradient_below_rounding():
     # The gradient entry that would admit column 0, about 3e-19, is lost in

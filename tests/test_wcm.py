@@ -31,6 +31,7 @@ from wrenchfeas import bundled_path, load_scene, wcm as wcm_module
 from wrenchfeas.errors import AnchorMismatch, WitnessOnBoundary
 from wrenchfeas.scenes import rotation_from_normal, scene_from_dict
 from wrenchfeas.wcm import (
+    _facet_probes,
     _straddle_pair,
     WrenchConstraintMatrix,
     compare_wcm_pair,
@@ -701,34 +702,39 @@ def test_wrench_verdicts_match_one_at_a_time(flat_foot_scene):
             wrench_verdicts(wcm, bad, scene.com)
 
 
-@pytest.mark.parametrize("reference_kind", ["misplaced-rebuild", "one-row"])
-def test_compare_wcm_pair_matches_one_at_a_time(reference_kind):
-    # A shifted W against a reference it disagrees with on many samples, so
-    # every count, the split by the reference's verdict and the examples'
-    # orientation (wrench, reference verdict, margin against the compared
-    # matrix) are exercised.  A rebuild whose rows belong to another anchor
-    # rejects most generator combinations; one row of W alone admits the low
-    # point of every pair that straddles it, which W rejects.
-    scene = load_scene(bundled_path("traverse_phase2"))
+def _shifted_and_rebuilt(name):
+    """A bundled scene's W built at its CoM and shifted by (0.05, -0.02,
+    0.1), W rebuilt at the moved CoM, and the generators about that CoM."""
+    scene = load_scene(bundled_path(name))
     cls = classify(scene.config, scene.com)
     delta = np.array([0.05, -0.02, 0.1])
     target = scene.com + delta
     shifted = shift_wcm(build_wcm(scene.config, scene.com, cls.witness), delta)
-    if reference_kind == "misplaced-rebuild":
-        rebuilt = build_wcm(scene.config, target, cls.witness)
-        reference = WrenchConstraintMatrix(shift_wcm(rebuilt, [0.3, 0.3, 0.0]).rows, target)
+    rebuilt = build_wcm(scene.config, target, cls.witness)
+    return shifted, rebuilt, build_generating_matrices(scene.config, target)
+
+
+@pytest.mark.parametrize("compared_kind", ["misplaced-rebuild", "one-row"])
+def test_compare_wcm_pair_matches_one_at_a_time(compared_kind):
+    # A matrix that disagrees with the rebuilt reference on many probes, so
+    # every count, the split by the probe's verdict and the examples'
+    # orientation (wrench, probe verdict, margin against the compared
+    # matrix) are exercised.  A rebuild whose rows belong to another anchor
+    # misreads probes of both verdicts; one row of W alone admits every
+    # outside probe but its own face's.
+    shifted, rebuilt, gen = _shifted_and_rebuilt("traverse_phase2")
+    if compared_kind == "misplaced-rebuild":
+        compared = WrenchConstraintMatrix(shift_wcm(rebuilt, [0.3, 0.3, 0.0]).rows, gen.anchor)
     else:
-        reference = WrenchConstraintMatrix(shifted.rows[:1], target)
-    gen = build_generating_matrices(scene.config, target)
-    samples = 601
-    report = compare_wcm_pair(gen, shifted, reference, samples, rng_seed=1)
-    counts, disagreements = reference_agreement(gen, shifted, reference, samples, seed=1)
+        compared = WrenchConstraintMatrix(shifted.rows[:1], gen.anchor)
+    report = compare_wcm_pair(gen, compared, rebuilt)
+    counts, disagreements = reference_agreement(gen, compared, rebuilt)
 
     assert report.agree_feasible == counts["agree_feasible"] > 0
     assert report.agree_infeasible == counts["agree_infeasible"] > 0
     assert report.boundary_excluded == counts["boundary_excluded"]
-    assert report.disagree == len(disagreements) >= 100
-    assert report.total == samples
+    assert report.disagree == len(disagreements) >= 50
+    assert report.total == len(_facet_probes(gen, rebuilt)[0])
     assert len(report.examples) == 10
     for (w6, truth, margin), (wrench, verdict, found) in zip(disagreements, report.examples):
         assert np.allclose(wrench, w6, rtol=1e-12, atol=0.0)
@@ -738,40 +744,105 @@ def test_compare_wcm_pair_matches_one_at_a_time(reference_kind):
 
 
 @pytest.mark.parametrize("name", ["flat_foot", "traverse_phase6"])
-def test_straddle_pairs_bracket_the_boundary_of_the_given_matrix(name):
+def test_straddle_pairs_bracket_the_membership_boundary(name):
     scene = load_scene(bundled_path(name))
-    cls = classify(scene.config, scene.com)
-    wcm = build_wcm(scene.config, scene.com, cls.witness)
+    gen = classify(scene.config, scene.com).generating
 
     def member(w6):
-        return wrench_feasible(wcm, Wrench(w6[:3], w6[3:], scene.com))
+        return wrench_membership_lp(gen, Wrench(w6[:3], w6[3:], scene.com)).feasible
 
     rng = np.random.default_rng(0)
     for _ in range(100):
-        (low, low_verdict), (high, high_verdict) = _straddle_pair(cls.generating, rng, member)
+        (low, low_verdict), (high, high_verdict) = _straddle_pair(gen, rng)
         assert (low_verdict, high_verdict) == (True, False)
         assert member(low) and not member(high)
 
 
-@pytest.mark.parametrize("name", ["flat_foot", "traverse_phase6"])
+PROBED_CONFIGS = {
+    "flat_foot": (flat_foot_config(), [0.0, 0.0, 0.8]),
+    "line_foot": (line_foot_config(), [0.0, 0.0, 0.8]),
+    "single_contact": (single_contact_config(), [0.0, 0.0, 0.8]),
+    "random": (random_constrained_config(np.random.default_rng(4), 3), [0.1, -0.2, 0.7]),
+}
+
+
+@pytest.mark.parametrize("name", PROBED_CONFIGS)
+def test_facet_probes_verdicts_match_highs(name):
+    # Each face gets a pair that only its row tells apart (an equality row,
+    # on a flat cloud, only its outside probe), and every generator is
+    # feasible; HiGHS, which never sees W, agrees with every verdict.
+    config, com = PROBED_CONFIGS[name]
+    cls = classify(config, com)
+    wcm = build_wcm(config, com, cls.witness)
+    gen = cls.generating
+    wrenches, truth = _facet_probes(gen, wcm)
+    tight = np.abs(wcm.rows @ (gen.stacked() / np.linalg.norm(gen.stacked(), axis=0))) <= 1e-9
+    equalities = int(np.sum(tight.all(axis=1)))
+    faces = int(np.sum(tight.any(axis=1)))
+    assert faces == wcm.n_rows - 1  # every row but the normal-force row
+    assert wrenches.shape == (2 * faces - equalities + gen.n_columns, 6)
+    assert np.sum(~truth) == faces
+    assert (name in ("line_foot", "single_contact")) == (equalities > 0)
+    stacked = gen.stacked()
+    assert [cone_member(stacked, w6) for w6 in wrenches] == truth.tolist()
+    assert np.array_equal(wrench_verdicts(wcm, wrenches, com)[0], truth)
+
+
+@pytest.mark.parametrize("name", CONSTRAINED_SCENES)
 def test_compare_wcm_pair_catches_a_missing_facet(name):
-    # A shifted W that lost one facet row admits wrenches beyond that facet.
-    # The samples straddle the rebuild's boundary, so for most facets some
-    # pair's infeasible point lies beyond it and W's verdict there differs.
-    scene = load_scene(bundled_path(name))
-    cls = classify(scene.config, scene.com)
-    delta = np.array([0.05, -0.02, 0.1])
-    target = scene.com + delta
-    shifted = shift_wcm(build_wcm(scene.config, scene.com, cls.witness), delta)
-    rebuilt = build_wcm(scene.config, target, cls.witness)
-    gen = build_generating_matrices(scene.config, target)
-    assert compare_wcm_pair(gen, shifted, rebuilt, 1000, rng_seed=0).disagree == 0
+    # The shifted W agrees with the rebuild on every probe, with none in the
+    # boundary band.  One that lost a facet row admits that face's outside
+    # probe, which no other row rejects.
+    shifted, rebuilt, gen = _shifted_and_rebuilt(name)
+    report = compare_wcm_pair(gen, shifted, rebuilt)
+    assert report.agree_feasible + report.agree_infeasible == report.total > 0
+    assert report.disagree == report.boundary_excluded == 0
     facets = shifted.n_rows - 1  # the last row asserts nonnegative normal force
-    caught = 0
-    for k in range(facets):
-        dropped = WrenchConstraintMatrix(np.delete(shifted.rows, k, axis=0), target)
-        caught += compare_wcm_pair(gen, dropped, rebuilt, 1000, rng_seed=0).disagree > 0
-    assert 2 * caught >= facets, f"{caught} of {facets} dropped facets caught"
+    missed = [
+        k
+        for k in range(facets)
+        if compare_wcm_pair(
+            gen, WrenchConstraintMatrix(np.delete(shifted.rows, k, axis=0), gen.anchor), rebuilt
+        ).disagree == 0
+    ]
+    assert missed == [], f"{len(missed)} of {facets} dropped facets missed"
+
+
+@pytest.mark.parametrize("name", CONSTRAINED_SCENES)
+def test_compare_wcm_pair_catches_a_spurious_row_through_the_mean_generator(name):
+    # A row through the generators' mean rejects some generator by a margin
+    # far beyond the band, since the generators' readings sum to zero.
+    shifted, rebuilt, gen = _shifted_and_rebuilt(name)
+    mean = gen.stacked().mean(axis=1)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        row = rng.normal(size=6)
+        row -= (row @ mean) / (mean @ mean) * mean
+        spurious = WrenchConstraintMatrix(np.vstack([shifted.rows, row]), gen.anchor)
+        assert compare_wcm_pair(gen, spurious, rebuilt).disagree > 0
+
+
+@pytest.mark.parametrize("angle, share", [(1e-3, 0.85), (1e-6, 0.6)])
+def test_compare_wcm_pair_catches_most_tilted_rows(angle, share):
+    # Each facet row of every constrained bundled scene, turned by ``angle``
+    # in a random direction.  A tilt that moves the face inward rejects a
+    # generator; one that moves it outward is seen only by an outside probe
+    # that the tilt has not yet reached, so a small loosening can pass.
+    rng = np.random.default_rng(6)
+    caught = tilted = 0
+    for name in CONSTRAINED_SCENES:
+        shifted, rebuilt, gen = _shifted_and_rebuilt(name)
+        for k in range(shifted.n_rows - 1):
+            row = shifted.rows[k]
+            turn = rng.normal(size=6)
+            turn -= (turn @ row) * row
+            rows = shifted.rows.copy()
+            rows[k] = np.cos(angle) * row + np.sin(angle) * turn / np.linalg.norm(turn)
+            mutant = WrenchConstraintMatrix(rows, gen.anchor)
+            caught += compare_wcm_pair(gen, mutant, rebuilt).disagree > 0
+            tilted += 1
+    assert tilted == 622
+    assert caught >= share * tilted, f"{caught} of {tilted} rows tilted by {angle:g} caught"
 
 
 class TestConcurrentUse:
@@ -1047,7 +1118,7 @@ def test_single_contact_w_is_the_pinned_moment_cone(mu, rotation, point, anchor)
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 2: a constrained query with no l_dot is checked at zero moment",
+    reason="ROADMAP item 1: a constrained query with no l_dot is checked at zero moment",
 )
 def test_unpinned_moment_admits_any_moment(flat_foot_scene):
     # `wrenchfeas check flat_foot --accel 3,0,0`: MotionQuery leaves the
@@ -1091,7 +1162,7 @@ OPPOSED_VERTICAL = ContactConfiguration(
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 2: a frictionless set whose force cone is not R^3 "
+    reason="ROADMAP item 4: a frictionless set whose force cone is not R^3 "
     "classifies as unconstrained",
 )
 @pytest.mark.parametrize(
