@@ -99,8 +99,10 @@ class FrictionCone:
 
     ``mu`` is the friction coefficient and ``sides`` the number of pyramid
     edges.  Three sides is the smallest full-dimensional approximation.
-    ``mu == 0`` is accepted and degenerates the pyramid to the normal ray;
-    ``mu`` above ``MAX_MU`` and ``sides`` above ``MAX_SIDES`` are rejected.
+    ``mu == 0`` is accepted and degenerates the pyramid to the normal ray,
+    one generator whatever ``sides`` says (``sides`` is still checked and
+    kept); ``mu`` above ``MAX_MU`` and ``sides`` above ``MAX_SIDES`` are
+    rejected.
     """
 
     mu: float
@@ -160,10 +162,11 @@ class ContactConfiguration:
     """An ordered set of contacts acting on the same body.
 
     The anchor-independent geometry is computed once, at construction:
-    ``edges`` (3 x n) stacks every contact's world-frame pyramid edges as
-    columns, contact by contact, and ``column_points`` (3 x n) holds the point
-    of the contact each column belongs to.  Both are read-only and take no
-    part in equality or ``repr``.
+    ``edges`` (3 x n) stacks every contact's world-frame ``cone_generators``
+    as columns, contact by contact (``sides`` pyramid edges, or the one
+    normal ray of a frictionless contact), and ``column_points`` (3 x n)
+    holds the point of the contact each column belongs to.  Both are
+    read-only and take no part in equality or ``repr``.
     """
 
     contacts: tuple
@@ -189,14 +192,14 @@ class ContactConfiguration:
             earlier[key] = earlier.get(key, 0) + 1
         object.__setattr__(self, "contacts", contacts)
 
-        # Contact by contact, its pyramid's edges rotated into the world frame.
-        cones = [c.cone for c in contacts]
-        sides = [cone.sides for cone in cones]
-        local = np.hstack([_cone_edges(cone) for cone in cones])
-        owners = np.repeat(rotations, sides, axis=0)
-        edges = np.einsum("kij,jk->ik", owners, local, order="C")
+        # Contact by contact, its cone's edges rotated into the world frame;
+        # each contact owns as many columns as its cached edge block has.
+        blocks = [_cone_edges(c.cone) for c in contacts]
+        counts = [block.shape[1] for block in blocks]
+        owners = np.repeat(rotations, counts, axis=0)
+        edges = np.einsum("kij,jk->ik", owners, np.hstack(blocks), order="C")
         object.__setattr__(self, "edges", _freeze(edges))
-        column_points = np.repeat(points, sides, axis=0).T.copy()
+        column_points = np.repeat(points, counts, axis=0).T.copy()
         object.__setattr__(self, "column_points", _freeze(column_points))
 
     def __len__(self) -> int:
@@ -211,14 +214,14 @@ class ContactConfiguration:
 class GeneratingMatrices:
     """Span-form description of all wrenches the contacts can transmit.
 
-    ``force_generators`` stacks the world-frame pyramid edges of every contact
-    as columns; ``moment_generators`` holds the corresponding moment arms about
-    ``anchor``.  Every transmissible wrench is a nonnegative column combination
-    of the stacked 6-row matrix, which is formed once, at construction; both
-    generator fields are read-only views of it.  The membership solves on the
-    stacked and the force-only matrix are prepared (``simplex.prepare``) on
-    first use and shared by every later solve; that cache takes no part in
-    equality or ``repr``.
+    ``force_generators`` stacks the configuration's world-frame edges (see
+    ``ContactConfiguration``) as columns; ``moment_generators`` holds the
+    corresponding moment arms about ``anchor``.  Every transmissible wrench
+    is a nonnegative column combination of the stacked 6-row matrix, which
+    is formed once, at construction; both generator fields are read-only
+    views of it.  The membership solves on the stacked and the force-only
+    matrix are prepared (``simplex.prepare``) on first use and shared by
+    every later solve; that cache takes no part in equality or ``repr``.
     """
 
     force_generators: np.ndarray
@@ -296,7 +299,11 @@ def cone_generators(cone: FrictionCone) -> np.ndarray:
     Returns a 3 x sides matrix whose i-th column (1-based) is
     ``[mu*cos(2*pi*(i - 1/2)/m), mu*sin(2*pi*(i - 1/2)/m), 1]``.  The normal
     component is set to exactly 1.0; later normalization stages rely on that.
+    A frictionless cone (``mu == 0``, -0.0 too) is the normal ray alone, so
+    it gives the one column ``[0, 0, 1]``, not ``sides`` copies of it.
     """
+    if cone.mu == 0.0:
+        return np.array([[0.0], [0.0], [1.0]])
     ang = 2.0 * np.pi * (np.arange(cone.sides) + 0.5) / cone.sides
     u = np.empty((3, cone.sides))
     u[0] = cone.mu * np.cos(ang)
@@ -321,11 +328,21 @@ def build_generating_matrices(
     com = _as_vec3(com, "com")
     e = config.edges
     rx, ry, rz = config.column_points - com[:, None]
-    moment = np.empty_like(e)
-    moment[0] = ry * e[2] - rz * e[1]
-    moment[1] = rz * e[0] - rx * e[2]
-    moment[2] = rx * e[1] - ry * e[0]
-    return GeneratingMatrices(e, moment, com)
+    # Forces over moments in one array, the layout GeneratingMatrices keeps;
+    # its inputs are checked already, so its constructor's copy is skipped.
+    stacked = np.empty((6, e.shape[1]))
+    stacked[:3] = e
+    stacked[3] = ry * e[2] - rz * e[1]
+    stacked[4] = rz * e[0] - rx * e[2]
+    stacked[5] = rx * e[1] - ry * e[0]
+    _freeze(stacked)  # its row views below inherit the flag
+    return _unchecked(
+        GeneratingMatrices,
+        force_generators=stacked[:3],
+        moment_generators=stacked[3:],
+        anchor=com,
+        _stacked=stacked,
+    )
 
 
 def required_wrench(body: RigidBodyParams, query: MotionQuery, com) -> Wrench:

@@ -12,6 +12,11 @@ hyperplanes, one per merged facet: qhull is not asked to triangulate (no
 decides which facets merge.  They come in qhull's facet-list order; no
 canonical sort follows.
 
+The affine rank and the complement come from one SVD of the centered cloud,
+LAPACK's ``dgesdd`` called through ``scipy.linalg.lapack``: the routine
+``np.linalg.svd`` calls, without numpy's wrapper, whose overhead is a sizable
+share of a small cloud's hull.
+
 qhull is driven through scipy's ``_Qhull`` object, the one ``ConvexHull``
 itself wraps, because ``ConvexHull`` always adds ``Qt`` and builds simplex
 and neighbour arrays this module never reads.  It runs with option ``Q5``
@@ -25,12 +30,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgesdd
 from scipy.spatial import QhullError
 from scipy.spatial._qhull import _Qhull
 
 from .errors import DegenerateInput, HullFailure
 
 RANK_TOL = 1e-9
+_EPS = np.finfo(float).eps.item()
+_TINY = np.finfo(float).tiny.item()
 
 
 @dataclass(frozen=True)
@@ -61,12 +69,17 @@ def _affine_split(pts: np.ndarray):
     # and so are those at the rounding level of the coordinates (at most
     # |centroid| + sv[0]), which is all centering leaves of coincident points.
     # The complement needs all of V only when there are fewer points than
-    # dimensions; otherwise the thin SVD has it and skips forming U.
-    centroid = pts.mean(axis=0)
-    _, sv, vt = np.linalg.svd(pts - centroid, full_matrices=len(pts) < pts.shape[1])
-    size = max(map(abs, centroid.tolist())) + sv[0]
-    noise = 16 * len(pts) * np.finfo(float).eps * size
-    rank = int(np.sum(sv > max(RANK_TOL * sv[0], noise, np.finfo(float).tiny)))
+    # dimensions; otherwise the thin SVD has it and skips forming U.  The sum
+    # over the count is np.mean's arithmetic, and the scalar work runs on
+    # Python floats: a small stance's split is call overhead, not arithmetic.
+    centroid = pts.sum(axis=0) / len(pts)
+    _, sv, vt, info = dgesdd(pts - centroid, full_matrices=len(pts) < pts.shape[1])
+    if info != 0:
+        raise np.linalg.LinAlgError(f"SVD did not converge (LAPACK dgesdd info {info})")
+    values = sv.tolist()
+    size = max(map(abs, centroid.tolist())) + values[0]
+    cut = max(RANK_TOL * values[0], 16 * len(pts) * _EPS * size, _TINY)
+    rank = sum(value > cut for value in values)
     complement = vt[rank:] if rank == len(vt) else _canonical_basis(vt[rank:])
     return rank, vt[:rank], complement, centroid
 
@@ -77,15 +90,25 @@ def _canonical_basis(rows: np.ndarray) -> np.ndarray:
     # keeping a column whose unspanned part's squared length (its diagonal
     # entry) exceeds ``cut2``.  One always does: those sum to >= 1, the skipped
     # ones to < dim * cut2 = 1/e.  An irrational cut ties no rational cloud.
+    # On Python floats, each entry by the operations of the array form, in
+    # its order (the projector, then one outer-product update per kept
+    # column), but formed only when read: a skipped column's diagonal, a kept
+    # column's line.
     cut2 = 1.0 / (math.e * rows.shape[1])
-    unspanned = rows.T @ rows
+    projector = (rows.T @ rows).tolist()
     basis = []
-    for j in range(rows.shape[1]):
-        if unspanned[j, j] > cut2:
-            basis.append(unspanned[j] / math.sqrt(unspanned[j, j]))
+    for j, line in enumerate(projector):
+        diagonal = line[j]
+        for kept in basis:
+            diagonal -= kept[j] * kept[j]
+        if diagonal > cut2:
+            for kept in basis:
+                scale = kept[j]
+                line = [entry - scale * other for entry, other in zip(line, kept)]
+            norm = math.sqrt(line[j])
+            basis.append([entry / norm for entry in line])
             if len(basis) == len(rows):
                 break
-            unspanned -= basis[-1][:, None] * basis[-1]
     return np.array(basis).reshape(len(rows), rows.shape[1])
 
 

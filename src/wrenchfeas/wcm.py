@@ -159,8 +159,14 @@ def build_wcm(config: ContactConfiguration, com, v) -> WrenchConstraintMatrix:
     # pair, and a last row, n itself, asserts nonnegative normal force.
     frame = _frame(mod.rotation)
     lift, n = frame[[0, 1, 3, 4, 5]], frame[2:3]
-    planes = np.concatenate([hull.facets, hull.equalities, -hull.equalities])
-    rows = np.concatenate([planes[:, :5] @ lift - planes[:, 5:] * n, n])
+    planes, equalities = hull.facets, hull.equalities
+    if len(equalities):
+        planes = np.concatenate([planes, equalities, -equalities])
+    # The lifted rows and n, written into one array.
+    rows = np.empty((len(planes) + 1, 6))
+    lifted = np.matmul(planes[:, :5], lift, out=rows[:-1])
+    lifted -= planes[:, 5:] * n
+    rows[-1] = n
     # np.linalg.norm's formula, without its overhead.
     rows /= np.sqrt((rows * rows).sum(axis=1))[:, None]
     # gen.anchor is read-only and owned by gen, which lives only in this call.

@@ -36,8 +36,17 @@ class TestConeGenerators:
         assert u[:, 0] == pytest.approx([0.8 * HALF_SQRT2, 0.8 * HALF_SQRT2, 1.0])
 
     def test_frictionless_degenerates_to_normal_ray(self):
-        u = cone_generators(FrictionCone(0.0, 4))
-        assert np.allclose(u, np.array([[0.0], [0.0], [1.0]]) @ np.ones((1, 4)))
+        # The cone of a frictionless contact is its normal ray: one column,
+        # whatever the pyramid's side count, which the cone still keeps.
+        for mu in (0, 0.0, -0.0):
+            for sides in (3, 4, 8):
+                cone = FrictionCone(mu, sides)
+                u = cone_generators(cone)
+                assert u.tobytes() == np.array([[0.0], [0.0], [1.0]]).tobytes()
+                assert u.shape == (3, 1) and cone.sides == sides
+                config = ContactConfiguration((Contact([0.1, 0.2, 0.0], np.eye(3), cone),))
+                assert config.n_generators == 1
+                assert config.edges.shape == config.column_points.shape == (3, 1)
 
     def test_four_sign_combinations(self):
         u = cone_generators(FrictionCone(0.8, 4))
@@ -134,13 +143,22 @@ class TestGeneratingMatrices:
             assert np.allclose(block, expected, atol=1e-15)
 
     def test_stacked_is_one_read_only_matrix(self):
-        gen = build_generating_matrices(flat_foot_config(), [0, 0, 0.8])
+        com = np.array([0.0, 0.0, 0.8])
+        gen = build_generating_matrices(flat_foot_config(), com)
         stacked = gen.stacked()
         assert stacked is gen.stacked()
         assert np.array_equal(stacked[:3], gen.force_generators)
         assert np.array_equal(stacked[3:], gen.moment_generators)
-        with pytest.raises(ValueError):
-            stacked[0, 0] = 1.0
+        for view in (gen.force_generators, gen.moment_generators):
+            assert np.shares_memory(view, stacked)
+        for array in (stacked, gen.force_generators, gen.moment_generators, gen.anchor):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        com[0] = 1.0  # the anchor is the generators' own copy
+        assert gen.anchor.tolist() == [0.0, 0.0, 0.8]
+        # The constructor's path gives the same matrix, bit for bit.
+        rebuilt = GeneratingMatrices(gen.force_generators, gen.moment_generators, gen.anchor)
+        assert rebuilt.stacked().tobytes() == stacked.tobytes()
 
     @pytest.mark.parametrize(
         "force_shape, moment_shape",
@@ -460,13 +478,22 @@ class TestScalarValidation:
         assert all(w.category is UserWarning for w in record)
 
 
+def column_counts(contacts):
+    """Columns per contact: its ``sides`` pyramid edges, or one normal ray
+    when it is frictionless."""
+    return np.array([1 if c.cone.mu == 0.0 else c.cone.sides for c in contacts])
+
+
 def reference_edges(contacts):
     """World-frame edges computed over all columns at once, each column's
-    pyramid parameters gathered by its owning contact (no per-cone cache)."""
+    pyramid parameters gathered by its owning contact (no per-cone cache).
+    A frictionless contact's one column is its first edge at mu = +0.0,
+    whose angle pi / sides has a positive cosine and sine: exactly (0, 0, 1)."""
     sides = np.array([c.cone.sides for c in contacts])
-    mu = np.array([c.cone.mu for c in contacts], dtype=float)
-    owner = np.repeat(np.arange(len(contacts)), sides)
-    j = np.arange(owner.size) - (np.cumsum(sides) - sides)[owner]
+    mu = np.array([c.cone.mu for c in contacts], dtype=float) + 0.0  # -0.0 -> +0.0
+    counts = column_counts(contacts)
+    owner = np.repeat(np.arange(len(contacts)), counts)
+    j = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
     ang = 2.0 * np.pi * (j + 0.5) / sides[owner]
     local = np.stack([mu[owner] * np.cos(ang), mu[owner] * np.sin(ang), np.ones(owner.size)])
     rotations = np.array([c.rotation for c in contacts])
@@ -475,8 +502,8 @@ def reference_edges(contacts):
 
 def test_cached_cone_edges_are_bit_identical():
     # Cones with mu = 0, 0.0 and -0.0 compare equal and share one cached
-    # entry; the world-frame edges must still match, bit for bit, those
-    # computed over all columns at once without a cache.
+    # entry, their one normal ray; the world-frame edges must still match,
+    # bit for bit, those computed over all columns at once without a cache.
     rng = np.random.default_rng(9)
     for _ in range(200):
         contacts = []
@@ -489,5 +516,5 @@ def test_cached_cone_edges_are_bit_identical():
             warnings.simplefilter("ignore")
             config = ContactConfiguration(tuple(contacts))
         assert config.edges.tobytes() == reference_edges(contacts).tobytes()
-        points = np.repeat([c.point for c in contacts], [c.cone.sides for c in contacts], axis=0)
+        points = np.repeat([c.point for c in contacts], column_counts(contacts), axis=0)
         assert config.column_points.tobytes() == np.ascontiguousarray(points.T).tobytes()

@@ -1,5 +1,6 @@
 """Convex hull in low dimension, with degenerate (flat) clouds."""
 
+import math
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg.lapack import dgesdd
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
@@ -528,3 +530,97 @@ def test_merged_facets_match_deduplicated_triangulation():
             assert len(lexsort_unique_rows(got)) == len(got), k
     assert min(per_family.values()) >= 10, per_family
     assert ranks == {2, 3, 4, 5}
+
+
+def reference_canonical_basis(rows):
+    """``hull._canonical_basis`` in its array form: Gram-Schmidt over the
+    projector's columns, with an outer-product update of the whole projector
+    after each kept column."""
+    cut2 = 1.0 / (math.e * rows.shape[1])
+    unspanned = rows.T @ rows
+    basis = []
+    for j in range(rows.shape[1]):
+        if unspanned[j, j] > cut2:
+            basis.append(unspanned[j] / math.sqrt(unspanned[j, j]))
+            if len(basis) == len(rows):
+                break
+            unspanned -= basis[-1][:, None] * basis[-1]
+    return np.array(basis).reshape(len(rows), rows.shape[1])
+
+
+def reference_affine_split(pts, svd=np.linalg.svd):
+    """``hull._affine_split`` in its array form: ``svd`` (numpy's unless
+    given), ``pts.mean`` and numpy reductions for the rank, and
+    ``reference_canonical_basis``."""
+    centroid = pts.mean(axis=0)
+    _, sv, vt = svd(pts - centroid, full_matrices=len(pts) < pts.shape[1])
+    size = max(map(abs, centroid.tolist())) + sv[0]
+    noise = 16 * len(pts) * np.finfo(float).eps * size
+    rank = int(np.sum(sv > max(hull.RANK_TOL * sv[0], noise, np.finfo(float).tiny)))
+    complement = vt[rank:] if rank == len(vt) else reference_canonical_basis(vt[rank:])
+    return rank, vt[:rank], complement, centroid
+
+
+def lapack_svd(a, full_matrices):
+    """LAPACK's ``dgesdd`` through scipy, as ``hull`` calls it, in
+    ``np.linalg.svd``'s return layout."""
+    u, sv, vt, info = dgesdd(a, full_matrices=full_matrices)
+    assert info == 0
+    return u, sv, vt
+
+
+def split_clouds():
+    """``degenerate_clouds`` of every rank, and the 5-D clouds of seeded
+    constrained stances, frictionless ones among them."""
+    rng = np.random.default_rng(27)
+    clouds = list(degenerate_clouds(rng))
+    while len(clouds) < 150:
+        family = ("floor", "walls", "mixed")[len(clouds) % 3]
+        mu = (0.0, 0.3, 0.5, 0.8)[len(clouds) % 4]
+        config = stance(rng, family, int(rng.integers(1, 13)), int(rng.integers(3, 9)), mu)
+        com = rng.uniform([-0.05, -0.05, 0.7], [0.05, 0.05, 0.9])
+        if classify(config, com).constrained:
+            clouds.append(stance_cloud(config, com))
+    return clouds
+
+
+def test_affine_split_is_the_array_form_bit_for_bit():
+    # The module computes the centroid as a sum over the count, the rank on
+    # Python floats and the canonical complement on Python floats, all with
+    # the array form's operations in its order: given the same SVD, the
+    # centroid, rank, basis and complement are the same bytes.
+    ranks = set()
+    for k, pts in enumerate(split_clouds()):
+        rank, basis, complement, centroid = hull._affine_split(pts)
+        want = reference_affine_split(pts, lapack_svd)
+        assert rank == want[0], k
+        for got, expected in zip((basis, complement, centroid), want[1:]):
+            assert got.shape == expected.shape, k
+            assert got.tobytes() == expected.tobytes(), k
+        ranks.add(rank)
+    assert ranks == {0, 1, 2, 3, 4, 5}
+
+
+def test_affine_split_matches_numpy_svd():
+    # The SVD is LAPACK's dgesdd, called through scipy rather than through
+    # np.linalg.svd.  The two packages may link different LAPACK builds, so
+    # the results are compared to 1e-12: the singular vectors' signs may
+    # differ, so the basis is compared through its projector; the complement
+    # is canonical and compared as it is.
+    for k, pts in enumerate(split_clouds()):
+        rank, basis, complement, centroid = hull._affine_split(pts)
+        want_rank, want_basis, want_complement, want_centroid = reference_affine_split(pts)
+        assert rank == want_rank, k
+        assert centroid.tobytes() == want_centroid.tobytes(), k
+        assert np.abs(basis.T @ basis - want_basis.T @ want_basis).max(initial=0.0) <= 1e-12, k
+        assert complement.shape == want_complement.shape, k
+        assert np.abs(complement - want_complement).max(initial=0.0) <= 1e-12, k
+
+
+def test_affine_split_raises_when_the_svd_fails(monkeypatch):
+    def failing(a, full_matrices):
+        return None, np.zeros(min(a.shape)), None, 3
+
+    monkeypatch.setattr(hull, "dgesdd", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="info 3"):
+        hull._affine_split(np.eye(5))

@@ -28,12 +28,14 @@ from wrenchfeas import (
     wrench_membership_lp,
 )
 from wrenchfeas import bundled_path, load_scene, wcm as wcm_module
+from wrenchfeas.contacts import GeneratingMatrices
 from wrenchfeas.errors import AnchorMismatch, WitnessOnBoundary
 from wrenchfeas.scenes import rotation_from_normal, scene_from_dict
 from wrenchfeas.wcm import (
     _facet_probes,
     _straddle_pair,
     WrenchConstraintMatrix,
+    compare_wcm_oracle,
     compare_wcm_pair,
     modified_generators,
     trajectory_verdicts,
@@ -1112,6 +1114,55 @@ def test_single_contact_w_is_the_pinned_moment_cone(mu, rotation, point, anchor)
     assert same_rows(off_span(rows[~paired]), off_span(np.hstack([faces, np.zeros((4, 3))])), 1e-9)
 
 
+def _tilted_contacts(rng, n, mu, sides):
+    """``n`` floor contacts with normals tilted up to about 0.2 rad from +z,
+    so +z lies strictly inside every dual cone: constrained for every mu."""
+    return [
+        Contact(
+            [rng.uniform(-0.2, 0.2), rng.uniform(-0.15, 0.15), 0.0],
+            rotation_from_normal(np.array([0.0, 0.0, 1.0]) + rng.normal(size=3) * 0.1),
+            FrictionCone(mu, sides),
+        )
+        for _ in range(n)
+    ]
+
+
+FRICTIONLESS_SETS = {
+    "frictionless_4": lambda rng: _tilted_contacts(rng, 4, 0.0, 4),
+    "frictionless_9": lambda rng: _tilted_contacts(rng, 9, -0.0, 6),
+    "mixed_mu": lambda rng: _tilted_contacts(rng, 3, 0.0, 5) + _tilted_contacts(rng, 2, 0.5, 4),
+}
+
+
+@pytest.mark.parametrize("name", FRICTIONLESS_SETS)
+def test_frictionless_w_matches_membership_on_duplicated_columns(name):
+    # A frictionless contact gives one column, its normal ray, where the
+    # pyramid formula gives ``sides`` identical copies of it.  The cone is
+    # the same, so W built from the one ray must agree with the membership
+    # test (wrench_membership_lp's solve, through compare_wcm_oracle) on the
+    # generators with each frictionless column repeated ``sides`` times.
+    config = ContactConfiguration(tuple(FRICTIONLESS_SETS[name](np.random.default_rng(12))))
+    com = np.array([0.01, -0.02, 0.8])
+    cls = classify(config, com)
+    assert cls.constrained
+    wcm = build_wcm(config, com, cls.witness)
+    # Copies of each column: ``sides`` of a frictionless contact's one ray,
+    # one of each pyramid edge.
+    copies = np.concatenate(
+        [[c.cone.sides] if c.cone.mu == 0.0 else [1] * c.cone.sides for c in config.contacts]
+    )
+    gen = cls.generating
+    assert gen.n_columns == copies.size < copies.sum()
+    duplicated = GeneratingMatrices(
+        np.repeat(gen.force_generators, copies, axis=1),
+        np.repeat(gen.moment_generators, copies, axis=1),
+        com,
+    )
+    report = compare_wcm_oracle(duplicated, wcm, 400, 27)
+    assert report.total == 400
+    assert report.disagree == 0, report.examples
+
+
 # Known faults, pinned as strict xfails: each asserts the correct answer, so
 # the fix that mends the fault turns its test into a pass.
 
@@ -1132,6 +1183,42 @@ def test_unpinned_moment_admits_any_moment(flat_foot_scene):
     assert force_membership_lp(cls.generating, force).feasible
     feasible, _ = acceleration_verdict(cls, wcm, scene.body, query, scene.com)
     assert feasible
+
+
+FLAT_CLOUD_CONFIGS = {"line_foot": line_foot_config(), "single_contact": single_contact_config()}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 12 (left open): on a flat cloud every probe lies on the "
+    "equality rows, so a dropped facet reads a margin of ~0 and is boundary-excluded",
+)
+@pytest.mark.parametrize("name", FLAT_CLOUD_CONFIGS)
+def test_compare_wcm_pair_catches_a_missing_facet_on_a_flat_cloud(name):
+    # `wrenchfeas shift`'s check on a configuration whose 5-D cloud is flat:
+    # W shifted by (0.05, -0.02, 0.1) against W rebuilt there.  W's rows
+    # are [facets, equalities, -equalities, n], so the facet rows are those
+    # before the +/- pairs.  Dropping any one of them must be caught, as on
+    # the bundled scenes; today none is (0 of 6 on the line foot, 0 of 4 on
+    # the single contact).
+    config = FLAT_CLOUD_CONFIGS[name]
+    com, delta = np.array([0.01, -0.02, 0.6]), np.array([0.05, -0.02, 0.1])
+    witness = classify(config, com).witness
+    shifted = shift_wcm(build_wcm(config, com, witness), delta)
+    rebuilt = build_wcm(config, com + delta, witness)
+    gen = build_generating_matrices(config, com + delta)
+    rows = shifted.rows
+    paired = np.abs(rows[:, None, :] + rows[None, :, :]).max(axis=2).min(axis=1) <= 1e-12
+    facets = shifted.n_rows - 1 - int(paired.sum())
+    assert paired.any() and facets > 0
+    caught = [
+        compare_wcm_pair(
+            gen, WrenchConstraintMatrix(np.delete(rows, k, axis=0), gen.anchor), rebuilt
+        ).disagree
+        >= 1
+        for k in range(facets)
+    ]
+    assert all(caught), f"{caught.count(False)} of {facets} dropped facets missed"
 
 
 def _frictionless(point, rotation):
