@@ -89,15 +89,19 @@ class WrenchConstraintMatrix:
     """Row matrix ``rows`` with unit-norm rows: a wrench about ``anchor`` is
     achievable iff ``rows @ [force; moment] >= 0`` (to tolerance).
 
-    The constructor keeps read-only copies of both arrays, so the caller's
-    arrays stay writable and a later write to them moves nothing here.
+    ``rows`` is k x 6 but stored component-major: it is the transpose of a
+    C-contiguous 6 x k block, so ``rows.T`` holds each wrench component's
+    k coefficients in one contiguous row.  Re-anchoring and margins work on
+    those six long rows.  The constructor keeps read-only copies of both
+    arrays in this layout, whatever the caller's, so the caller's arrays
+    stay writable and a later write to them moves nothing here.
     """
 
     rows: np.ndarray
     anchor: np.ndarray
 
     def __post_init__(self):
-        rows = np.array(self.rows, dtype=float)
+        rows = np.array(self.rows, dtype=float, order="F")
         if rows.ndim != 2 or rows.shape[1] != 6 or rows.shape[0] < 1:
             raise ValueError(f"rows must be (k, 6) with k >= 1, got {rows.shape}")
         object.__setattr__(self, "rows", _freeze(rows))
@@ -169,8 +173,10 @@ def build_wcm(config: ContactConfiguration, com, v) -> WrenchConstraintMatrix:
     rows[-1] = n
     # np.linalg.norm's formula, without its overhead.
     rows /= np.sqrt((rows * rows).sum(axis=1))[:, None]
+    # Stored component-major, with the bytes of the row-major arithmetic.
     # gen.anchor is read-only and owned by gen, which lives only in this call.
-    return _unchecked(WrenchConstraintMatrix, rows=_freeze(rows), anchor=gen.anchor)
+    rows = _freeze(np.asfortranarray(rows))
+    return _unchecked(WrenchConstraintMatrix, rows=rows, anchor=gen.anchor)
 
 
 def shift_wcm(wcm: WrenchConstraintMatrix, delta) -> WrenchConstraintMatrix:
@@ -178,9 +184,11 @@ def shift_wcm(wcm: WrenchConstraintMatrix, delta) -> WrenchConstraintMatrix:
 
     A wrench about the new point B maps to the same physical wrench about the
     old point A via moment_A = moment_B + delta x force, so composing the rows
-    with that map yields the constraints expressed about B.  A component of
-    ``delta`` beyond ``MAX_SHIFT`` is rejected: the shifted rows' norms could
-    overflow.
+    with that map yields the constraints expressed about B.  The product is
+    taken component-major, ``T(delta)^T @ rows.T`` (6 x 6 by 6 x k), and each
+    row's norm sums its six squares down the columns of that 6 x k block.  A
+    component of ``delta`` beyond ``MAX_SHIFT`` is rejected: the shifted
+    rows' norms could overflow.
     """
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (3,):
@@ -191,20 +199,23 @@ def shift_wcm(wcm: WrenchConstraintMatrix, delta) -> WrenchConstraintMatrix:
         if not (math.isfinite(dx) and math.isfinite(dy) and math.isfinite(dz)):
             raise ValueError("delta must have finite components")
         raise ValueError(_overflow_message(dx, dy, dz))
-    # The identity with skew(delta) in the lower-left block.
+    # T(delta)^T: the identity with skew(delta)^T = -skew(delta) in the
+    # upper-right block.
     transfer = _IDENTITY6.copy()
-    transfer[3, 1], transfer[3, 2] = -dz, dy
-    transfer[4, 0], transfer[4, 2] = dz, -dx
-    transfer[5, 0], transfer[5, 1] = -dy, dx
+    transfer[1, 3], transfer[2, 3] = -dz, dy
+    transfer[0, 4], transfer[2, 4] = dz, -dx
+    transfer[0, 5], transfer[1, 5] = -dy, dx
     # ``@``, not np.dot, for both products: np.dot gives the same bits and
     # skips a dispatch step, but right after a build has evicted its code
     # from cache its first call costs a few us more than ``@``.
-    rows = wcm.rows @ transfer
-    # Row norms by a matrix-vector product: np.einsum costs more, most of all
+    components = transfer @ wcm.rows.T
+    # Row norms by a vector-matrix product: np.einsum costs more, most of all
     # on the first call after other work has evicted its code from cache.
-    rows /= np.sqrt((rows * rows) @ _ONES6)[:, None]
+    components /= np.sqrt(_ONES6 @ (components * components))
     anchor = wcm.anchor + delta
-    return _unchecked(WrenchConstraintMatrix, rows=_freeze(rows), anchor=_freeze(anchor))
+    return _unchecked(
+        WrenchConstraintMatrix, rows=_freeze(components).T, anchor=_freeze(anchor)
+    )
 
 
 def _overflow_message(*delta: float) -> str:
@@ -219,9 +230,9 @@ def _overflow_message(*delta: float) -> str:
 def wrench_margin(wcm: WrenchConstraintMatrix, wrench: Wrench) -> float:
     """Smallest row activation; nonnegative (to tolerance) means achievable."""
     _check_anchor(wcm.anchor, wrench.about, "constraint matrix")
-    # np.dot of a matrix and a vector gives the bits of ``@``, at less cost
-    # than stacking the wrench into an array first.
-    return float(np.dot(wcm.rows, wrench.force.tolist() + wrench.moment.tolist()).min())
+    # np.dot of a vector and the 6 x k component block gives the bits of
+    # ``@``, at less cost than stacking the wrench into an array first.
+    return float(np.dot(wrench.force.tolist() + wrench.moment.tolist(), wcm.rows.T).min())
 
 
 def _within_band(margin, norm):
@@ -248,7 +259,8 @@ def wrench_verdicts(wcm: WrenchConstraintMatrix, wrenches, about):
     wrenches = np.asarray(wrenches, dtype=float)
     if wrenches.ndim != 2 or wrenches.shape[1] != 6:
         raise ValueError(f"wrenches must be a (T, 6) array, got shape {wrenches.shape}")
-    margins = (wcm.rows @ wrenches[:, :, None]).min(axis=1).ravel()
+    # One vector-matrix product per wrench, as wrench_margin reads it.
+    margins = (wrenches[:, None, :] @ wcm.rows.T).min(axis=2).ravel()
     norms = np.sqrt((wrenches * wrenches) @ _ONES6)
     return _within_band(margins, norms), margins
 
@@ -517,25 +529,27 @@ def trajectory_verdicts(
         skews += (0.0, -dz, dy, dz, 0.0, -dx, -dy, dx, 0.0)
     if not pinned:
         return verdicts, margins
-    wrenches = np.array(wrenches).reshape(-1, 6, 1)
+    wrenches, skews = np.array(wrenches), np.array(skews).reshape(-1, 3, 3)
     transfers = np.empty((len(pinned), 6, 6))
     transfers[:] = _IDENTITY6
-    transfers[:, 3:, :3] = np.array(skews).reshape(-1, 3, 3)
     if not constrained:
         # Each wrench about the anchor, T(delta) w; an overflow is an error.
+        transfers[:, 3:, :3] = skews
         with np.errstate(over="ignore", invalid="ignore"):
-            mapped = _freeze((transfers @ wrenches).reshape(-1, 6))
+            mapped = _freeze((transfers @ wrenches.reshape(-1, 6, 1)).reshape(-1, 6))
         if not np.isfinite(mapped).all():
             raise ValueError("a sample's required wrench about the anchor is not finite")
         for t, w6 in zip(pinned, mapped):
             wrench = _unchecked(Wrench, force=w6[:3], moment=w6[3:], about=anchor)
             verdicts[t] = wrench_membership_lp(gen, wrench).feasible
         return verdicts, margins
-    # Every sample's shifted rows, T x k x 6, as shift_wcm makes them, each
-    # read on its own wrench by one matrix-vector product, as wrench_margin.
-    rows = wcm.rows @ transfers
-    rows /= np.sqrt((rows * rows) @ _ONES6)[:, :, None]
-    found = (rows @ wrenches).min(axis=1).ravel().tolist()
+    # Every sample's shifted rows, T x 6 x k, as shift_wcm makes them from
+    # T(delta)^T, each read on its own wrench by one vector-matrix product,
+    # as wrench_margin.
+    transfers[:, :3, 3:] = skews.transpose(0, 2, 1)
+    rows = transfers @ wcm.rows.T
+    rows /= np.sqrt(_ONES6 @ (rows * rows))[:, None, :]
+    found = (wrenches.reshape(-1, 1, 6) @ rows).min(axis=2).ravel().tolist()
     for t, margin, norm in zip(pinned, found, norms):
         verdicts[t], margins[t] = _within_band(margin, norm), margin
     return verdicts, margins

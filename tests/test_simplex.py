@@ -324,8 +324,12 @@ def test_negative_zero_target_is_zero():
             MEMBERSHIP_TOL,
             None,
         ),
+        # The solve stops at x = (4, 0), relative residual 2.98e-8: column
+        # 1's scaled gradient, 3.55e-15, is below the stop tolerance 4.4e-15.
+        # x = (5, 1) reaches the target exactly.
+        ([[-1.0, 1.0], [0.0, 1.1920929e-7]], [-4.0, 1.1920929e-7], 1e-12, [5.0, 1.0]),
     ],
-    ids=["two-columns", "zero-column"],
+    ids=["two-columns", "zero-column", "tiny-row"],
 )
 def test_stop_test_sees_a_gradient_small_only_in_absolute_terms(a, b, tol, fit):
     x, residual = solve(np.array(a), np.array(b))
@@ -334,23 +338,50 @@ def test_stop_test_sees_a_gradient_small_only_in_absolute_terms(a, b, tol, fit):
         assert x == pytest.approx(fit, rel=1e-9)
 
 
+def _two_column_fit():
+    """A 3 x 9 matrix whose only nonzero columns are column 6, (1e-10, 1, 0),
+    and column 8, (0, -1, 0)."""
+    a = np.zeros((3, 9))
+    a[:, 6] = [1e-10, 1.0, 0.0]
+    a[:, 8] = [0.0, -1.0, 0.0]
+    return a
+
+
 @pytest.mark.xfail(
     strict=True, reason="ROADMAP item 2: a gradient entry lost in rounding stops short of a fit"
 )
-def test_reaches_a_fit_admitted_only_by_a_gradient_below_rounding():
-    # The gradient entry that would admit column 0, about 3e-19, is lost in
-    # the rounding of A^T (b - Ax): the solve stops at x = (0, 0.498, 0.596)
-    # with a relative residual of 4.28e-9, yet the nonnegative
-    # x = (32.6, 37.7, 24.3) fits exactly.
-    a = np.array(
-        [
-            [5.1625099107345704, -7.6714892118526326, 4.9337932016343782],
-            [-7.6714892118526326, 5.1625099107345704, 2.4490394398196198],
-            [5.4196146806530209e-10, -1.9076283690526757e-22, -1.9076283690526757e-22],
-        ]
-    )
-    b = np.array([-0.87886997505571429, 4.0323056455937838, 1.7672677475815698e-08])
-    assert np.linalg.solve(a, b).min() > 0.0
+@pytest.mark.parametrize(
+    "a, b, fit",
+    [
+        # The gradient entry that would admit column 0, about 3e-19, is lost
+        # in the rounding of A^T (b - Ax): the solve stops at
+        # x = (0, 0.498, 0.596) with a relative residual of 4.28e-9, yet the
+        # nonnegative x = (32.6, 37.7, 24.3) fits exactly.
+        (
+            [
+                [5.1625099107345704, -7.6714892118526326, 4.9337932016343782],
+                [-7.6714892118526326, 5.1625099107345704, 2.4490394398196198],
+                [5.4196146806530209e-10, -1.9076283690526757e-22, -1.9076283690526757e-22],
+            ],
+            [-0.87886997505571429, 4.0323056455937838, 1.7672677475815698e-08],
+            None,
+        ),
+        # The solve stops at x = e_6, relative residual 5.95e-8: column 8's
+        # gradient, 5.96e-18 in exact arithmetic, rounds to 0.  x_6 =
+        # 596.046448 with x_8 = 595.046448 fits exactly.
+        (
+            _two_column_fit(),
+            [5.96046448e-08, 1.0, 0.0],
+            [0.0] * 6 + [596.046448, 0.0, 595.046448],
+        ),
+    ],
+    ids=["three-columns", "tiny-entry"],
+)
+def test_reaches_a_fit_admitted_only_by_a_gradient_below_rounding(a, b, fit):
+    a, b = np.array(a), np.array(b)
+    fit = np.linalg.solve(a, b) if fit is None else np.array(fit)
+    assert fit.min() >= 0.0
+    assert np.abs(a @ fit - b).max() <= 1e-12 * np.abs(b).max()
     _, residual = solve(a, b)
     assert residual <= MEMBERSHIP_TOL
 

@@ -30,6 +30,7 @@ from wrenchfeas import (
 from wrenchfeas import bundled_path, load_scene, wcm as wcm_module
 from wrenchfeas.contacts import GeneratingMatrices
 from wrenchfeas.errors import AnchorMismatch, WitnessOnBoundary
+from wrenchfeas.hull import convex_hull
 from wrenchfeas.scenes import rotation_from_normal, scene_from_dict
 from wrenchfeas.wcm import (
     _facet_probes,
@@ -498,8 +499,8 @@ def reference_transfer(delta):
     return transfer
 
 
-# Each scene's W as built (C order, id the scene's name) and as an F-ordered
-# copy, which the constructor keeps in F order.
+# Each scene's W passed to the constructor as a C-ordered copy (id the
+# scene's name) and as an F-ordered one: both are stored component-major.
 @pytest.mark.parametrize(
     "name,layout",
     [pytest.param(n, "C", id=n) for n in CONSTRAINED_SCENES]
@@ -511,8 +512,10 @@ def test_per_sample_path_matches_reference_bit_for_bit(name, layout):
     scene = load_scene(bundled_path(name))
     cls = classify(scene.config, scene.com)
     wcm = build_wcm(scene.config, scene.com, cls.witness)
-    wcm = WrenchConstraintMatrix(np.array(wcm.rows, order=layout), wcm.anchor)
-    assert wcm.rows.flags[f"{layout}_CONTIGUOUS"]
+    built = wcm.rows
+    wcm = WrenchConstraintMatrix(np.array(built, order=layout), wcm.anchor)
+    assert wcm.rows.T.flags.c_contiguous and built.T.flags.c_contiguous
+    assert wcm.rows.tobytes() == built.tobytes()
     body = scene.body
     rng = np.random.default_rng(CONSTRAINED_SCENES.index(name) + 20)
     for _ in range(40):
@@ -522,12 +525,15 @@ def test_per_sample_path_matches_reference_bit_for_bit(name, layout):
         shifted = shift_wcm(wcm, delta)
         wrench = required_wrench(body, MotionQuery(accel, l_dot), com)
 
-        rows = wcm.rows @ reference_transfer(delta)
-        rows = rows / np.sqrt((rows * rows) @ np.ones(6))[:, None]
+        # Component-major: T(delta)^T times the 6 x k block, each column's
+        # six squares summed by a vector-matrix product.
+        components = reference_transfer(delta).T @ wcm.rows.T
+        components = components / np.sqrt(np.ones(6) @ (components * components))
         force = body.mass * (accel - body.gravity)
         w6 = np.concatenate([force, l_dot])
-        margin = (rows @ w6).min()
-        assert shifted.rows.tobytes() == rows.tobytes()
+        margin = (w6 @ components).min()
+        assert shifted.rows.T.flags.c_contiguous
+        assert shifted.rows.tobytes() == components.T.tobytes()
         assert shifted.anchor.tobytes() == (wcm.anchor + delta).tobytes()
         assert wrench.force.tobytes() == force.tobytes()
         assert wrench_margin(shifted, wrench).hex() == float(margin).hex()
@@ -557,15 +563,62 @@ def test_constructor_copies_and_freezes_its_arrays(flat_foot_scene):
         assert not made.rows.flags.writeable and not made.anchor.flags.writeable
 
 
-# Flat clouds, whose W holds +/- equality rows: a single contact and a line
-# foot of two contacts.
+# Flat clouds, whose W holds +/- equality rows: a single contact and line
+# feet of two and three contacts.
 FLAT_CASES = {
     "single_contact": single_contact_config(),
     "line_foot_2": ContactConfiguration(tuple(ground_contact(x, 0.0) for x in (-0.1, 0.1))),
+    "line_foot_3": line_foot_config(),
 }
 
+# Seeded floor stances, (seed, contacts, pyramid sides).  The W of
+# floor_14x8 has 1,072 rows, so every whole-W product runs on long rows.
+FLOOR_CASES = {"floor_3x4": (3, 3, 4), "floor_7x6": (7, 7, 6), "floor_14x8": (2, 14, 8)}
 
-PATH_CASES = CONSTRAINED_SCENES + list(FLAT_CASES)
+PATH_CASES = CONSTRAINED_SCENES + list(FLAT_CASES) + ["floor_14x8"]
+
+
+def path_case(name):
+    """Body, configuration and CoM of a bundled scene or of a case above."""
+    body = RigidBodyParams(60.0, [0.0, 0.0, -9.81])
+    if name in FLAT_CASES:
+        return body, FLAT_CASES[name], np.array([0.01, -0.02, 0.6])
+    if name in FLOOR_CASES:
+        seed, n, sides = FLOOR_CASES[name]
+        contacts = _tilted_contacts(np.random.default_rng(seed), n, 0.8, sides)
+        return body, ContactConfiguration(tuple(contacts)), np.array([0.01, -0.02, 0.8])
+    scene = load_scene(bundled_path(name))
+    return scene.body, scene.config, scene.com
+
+
+def reference_build_rows(config, com, witness):
+    """W's rows as the row-major arithmetic makes them from the hull's facets
+    and equalities: the lift ``planes[:, :5] @ lift - w n`` and the row ``n``,
+    each divided by its norm summed along the row."""
+    mod = modified_generators(build_generating_matrices(config, com), witness)
+    points = np.vstack([mod.force_generators[:2], mod.moment_generators]).T
+    result = convex_hull(points)
+    frame = np.zeros((6, 6))
+    frame[:3, :3] = frame[3:, 3:] = mod.rotation
+    lift, n = frame[[0, 1, 3, 4, 5]], frame[2:3]
+    planes = result.facets
+    if len(result.equalities):
+        planes = np.concatenate([planes, result.equalities, -result.equalities])
+    rows = np.vstack([planes[:, :5] @ lift - planes[:, 5:] * n, n])
+    return rows / np.sqrt((rows * rows).sum(axis=1))[:, None]
+
+
+@pytest.mark.parametrize("name", CONSTRAINED_SCENES + list(FLAT_CASES) + list(FLOOR_CASES))
+def test_build_keeps_the_row_major_bytes(name):
+    # W is stored component-major, yet no bit of a built W moves: its rows
+    # read, byte for byte, as the row-major lift of the hull's facets.
+    _, config, com = path_case(name)
+    cls = classify(config, com)
+    wcm = build_wcm(config, com, cls.witness)
+    expected = reference_build_rows(config, com, cls.witness)
+    assert wcm.rows.T.flags.c_contiguous
+    assert wcm.rows.shape == expected.shape
+    assert wcm.rows.tobytes() == expected.tobytes()
 
 
 class TestTrajectoryVerdicts:
@@ -573,14 +626,10 @@ class TestTrajectoryVerdicts:
     def test_matches_shift_then_query(self, name):
         # One batched call against shift_wcm + wrench_margin/wrench_feasible
         # per sample, to the bit, on seeded paths with |delta| <= 0.3 m.
-        if name in FLAT_CASES:
-            body = RigidBodyParams(60.0, [0.0, 0.0, -9.81])
-            config, com = FLAT_CASES[name], np.array([0.01, -0.02, 0.6])
-        else:
-            scene = load_scene(bundled_path(name))
-            body, config, com = scene.body, scene.config, scene.com
+        body, config, com = path_case(name)
         cls = classify(config, com)
         wcm = build_wcm(config, com, cls.witness)
+        assert name != "floor_14x8" or wcm.n_rows >= 500
         rng = np.random.default_rng(PATH_CASES.index(name))
         coms, accels, l_dots = seeded_path(rng, com, 60)
         verdicts, margins = trajectory_verdicts(cls, wcm, body, coms, accels, l_dots)
