@@ -11,7 +11,9 @@ Conventions used throughout the package:
   matrices are built, so the same contacts can be re-anchored freely.
 
 All types are immutable after construction (arrays are marked read-only) and
-all operations are pure functions, so concurrent reads are safe.
+all operations are pure functions, so concurrent reads are safe.  Types that
+hold arrays compare and hash by identity; ``FrictionCone``, two numbers,
+compares by value.
 """
 
 import functools
@@ -75,7 +77,7 @@ def _unchecked(cls, **fields):
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Wrench:
     """A force/moment pair together with the point the moment is taken about."""
 
@@ -123,7 +125,7 @@ class FrictionCone:
         object.__setattr__(self, "sides", int(self.sides))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Contact:
     """One unilateral frictional point contact."""
 
@@ -157,7 +159,7 @@ class Contact:
         return self.rotation[:, 2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContactConfiguration:
     """An ordered set of contacts acting on the same body.
 
@@ -166,7 +168,7 @@ class ContactConfiguration:
     as columns, contact by contact (``sides`` pyramid edges, or the one
     normal ray of a frictionless contact), and ``column_points`` (3 x n)
     holds the point of the contact each column belongs to.  Both are
-    read-only and take no part in equality or ``repr``.
+    read-only and take no part in ``repr``.
     """
 
     contacts: tuple
@@ -210,7 +212,7 @@ class ContactConfiguration:
         return self.edges.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratingMatrices:
     """Span-form description of all wrenches the contacts can transmit.
 
@@ -221,7 +223,7 @@ class GeneratingMatrices:
     is formed once, at construction; both generator fields are read-only
     views of it.  The membership solves on the stacked and the force-only
     matrix are prepared (``simplex.prepare``) on first use and shared by
-    every later solve; that cache takes no part in equality or ``repr``.
+    every later solve; that cache takes no part in ``repr``.
     """
 
     force_generators: np.ndarray
@@ -261,7 +263,7 @@ class GeneratingMatrices:
         return prepare(self.force_generators)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RigidBodyParams:
     """Mass and gravity for the supported body."""
 
@@ -274,7 +276,7 @@ class RigidBodyParams:
         object.__setattr__(self, "gravity", _as_vec3(self.gravity, "gravity"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MotionQuery:
     """A queried motion state: CoM acceleration plus, optionally, the rate of
     change of angular momentum.  ``angular_momentum_rate=None`` means the query
@@ -399,7 +401,11 @@ def rotation_from_normal(normal) -> np.ndarray:
     ``MAX_DIRECTION`` and a norm above 1e-12.
     """
     n, norm = _direction(normal, "normal")
-    n = n / norm
+    return _complete_frame(n / norm)
+
+
+def _complete_frame(n: np.ndarray) -> np.ndarray:
+    """``rotation_from_normal`` of the checked unit normal ``n``."""
     # |n -/+ x|^2 = 2 - 2|n_x|: nearer +/-x, projecting x cancels too many digits.
     near_x = 1.0 - abs(n[0]) < 5e-7
     reference = np.array([0.0, 1.0, 0.0] if near_x else [1.0, 0.0, 0.0])

@@ -41,7 +41,7 @@ _EPS = np.finfo(float).eps.item()
 _TINY = np.finfo(float).tiny.item()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HullResult:
     """Inequality/equality description of a convex hull in ``dim`` dimensions.
 
@@ -112,6 +112,19 @@ def _canonical_basis(rows: np.ndarray) -> np.ndarray:
     return np.array(basis).reshape(len(rows), rows.shape[1])
 
 
+def _oriented(complement: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    # Equalities hold with either orientation; fix the sign so the first
+    # non-negligible component is positive (the row's first component's sign
+    # when none is).  At most five rows, so on Python floats: a sign flip is
+    # exact, so these are the bits of the array form's sign times the row.
+    rows = []
+    for row, offset in zip(complement.tolist(), offsets.tolist()):
+        lead = next((entry for entry in row if abs(entry) > 1e-12), row[0])
+        sign = 1.0 if lead > 0.0 else -1.0 if lead < 0.0 else 0.0
+        rows.append([sign * entry for entry in row + [offset]])
+    return np.array(rows)
+
+
 def convex_hull(points) -> HullResult:
     """Facets and equalities of the convex hull of a point cloud.
 
@@ -135,11 +148,7 @@ def convex_hull(points) -> HullResult:
     if rank == dim:
         equalities = np.empty((0, dim + 1))
     else:
-        # Equalities hold with either orientation; fix the sign so the first
-        # non-negligible component is positive.
-        first = np.argmax(np.abs(complement) > 1e-12, axis=1)
-        signs = np.sign(complement[np.arange(len(complement)), first])[:, None]
-        equalities = signs * np.column_stack([complement, complement @ centroid])
+        equalities = _oriented(complement, complement @ centroid)
     if rank == 0:
         return HullResult(np.empty((0, dim + 1)), equalities, 0, dim)
 

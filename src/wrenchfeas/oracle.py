@@ -27,7 +27,7 @@ from .simplex import PreparedMatrix
 MEMBERSHIP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MembershipVerdict:
     """Outcome of a membership test; ``coefficients`` is a realizing
     nonnegative combination when one exists."""

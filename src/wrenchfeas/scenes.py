@@ -55,7 +55,7 @@ from .contacts import (
 from .errors import SceneFormatError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scene:
     """A body, its center of mass and its contacts.  ``com`` is kept as a
     read-only copy, so the caller's array stays writable."""
@@ -68,7 +68,7 @@ class Scene:
         object.__setattr__(self, "com", _as_vec3(self.com, "com"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioPhase:
     """A scene and its CoM trajectory, one entry per sample in each column:
     ``times``, and ``coms`` and ``accels`` as float triples, and ``l_dots``,
@@ -83,7 +83,7 @@ class ScenarioPhase:
     l_dots: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     phases: tuple
 

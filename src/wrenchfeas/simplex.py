@@ -12,8 +12,10 @@ ill-conditioned.  The output is deterministic.
 The work that depends on the matrix alone (its checks, the column scaling
 and ``A^T A``) is done by ``prepare``; the ``PreparedMatrix`` it returns then
 solves for any number of targets.  ``solve`` is exactly prepare-then-solve.
-The module keeps its historical name because the benchmark tracer wraps
-``simplex.solve``.
+Every ``PreparedMatrix`` gets its Gram matrix and tolerance from one private
+routine, ``_prepared``.  Classification calls it directly: its matrix has
+unit largest column entries by construction, so the checks and scaling would
+leave it unchanged, and ``feasibility.classify`` does not call ``solve``.
 
 A solve's cost is call overhead, not arithmetic: its vectors hold one to a
 few dozen entries.  So the step-back (the inner loop that moves from ``x``
@@ -109,11 +111,18 @@ def prepare(matrix) -> PreparedMatrix:
     if not np.isfinite(col_max).all():
         raise ValueError("matrix must be finite")
     col_max[col_max == 0.0] = 1.0
-    a = a / col_max
-    gram = a.T @ a
-    for arr in (a, gram, col_max):
+    return _prepared(a / col_max, col_max)
+
+
+def _prepared(scaled, col_max) -> PreparedMatrix:
+    """The ``PreparedMatrix`` of a checked matrix already scaled to unit
+    largest column entries, ``scaled``, with those scales, ``col_max``: its
+    Gram matrix and stop tolerance.  Both arrays are taken over and made
+    read-only."""
+    gram = scaled.T @ scaled
+    for arr in (scaled, gram, col_max):
         arr.setflags(write=False)
-    return PreparedMatrix(a, gram, col_max, 10.0 * _EPS * a.shape[1])
+    return PreparedMatrix(scaled, gram, col_max, 10.0 * _EPS * scaled.shape[1])
 
 
 def solve(matrix, target):

@@ -48,12 +48,12 @@ from .contacts import (
     Wrench,
     _as_vec3,
     _check_anchor,
+    _complete_frame,
     _direction,
     _freeze,
     _required_moment,
     _unchecked,
     build_generating_matrices,
-    rotation_aligning_z,
 )
 from .errors import LpFailure, WitnessOnBoundary
 from .feasibility import Classification
@@ -73,7 +73,7 @@ _IDENTITY6 = np.eye(6)
 _ONES6 = np.ones(6)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModifiedGenerators:
     """Witness-aligned, column-rescaled generators.  The third row of
     ``force_generators`` is exactly one; each column pair spans the same ray
@@ -84,7 +84,7 @@ class ModifiedGenerators:
     rotation: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WrenchConstraintMatrix:
     """Row matrix ``rows`` with unit-norm rows: a wrench about ``anchor`` is
     achievable iff ``rows @ [force; moment] >= 0`` (to tolerance).
@@ -122,7 +122,8 @@ def modified_generators(gen: GeneratingMatrices, v) -> ModifiedGenerators:
     that the classification step needs a second look.
     """
     v, v_norm = _direction(v, "witness")
-    rot = rotation_aligning_z(v)
+    # rotation_aligning_z(v), from the vector checked just now.
+    rot = _complete_frame(v / v_norm).T
     f = gen.force_generators
     dots = v @ f
     col_norms = np.sqrt((f * f).sum(axis=0))  # np.linalg.norm's formula
@@ -265,7 +266,7 @@ def wrench_verdicts(wcm: WrenchConstraintMatrix, wrenches, about):
     return _within_band(margins, norms), margins
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AgreementReport:
     """Tally of verdict agreement between a constraint matrix and the truth:
     the membership oracle or a reference matrix.  ``examples`` holds up to
@@ -441,12 +442,12 @@ def acceleration_verdict(
     """Can the contacts support the queried motion of the center of mass?
     Returns the verdict and the required wrench's margin against ``wcm``.
 
-    ``wcm``, or else the classification's generators, must be anchored at
-    ``com``; the answer is then ``trajectory_verdicts`` on that one sample,
-    by the same rules and to the same bit.
+    ``wcm``, or else the classification, must be anchored at ``com``; the
+    answer is then ``trajectory_verdicts`` on that one sample, by the same
+    rules and to the same bit.
     """
     constrained = classification.constrained
-    anchored = wcm if constrained else classification.generating
+    anchored = wcm if constrained else classification
     if anchored is not None:  # a missing W is trajectory_verdicts' error
         what = "constraint matrix" if constrained else "classification"
         _check_anchor(anchored.anchor, np.asarray(com, dtype=float), what)
@@ -481,7 +482,7 @@ def trajectory_verdicts(
     give an arbitrary moment.  (Constrained, an unpinned rate is checked at
     zero moment, the fill of ``contacts._required_moment``.)  The answer is
     given at one anchor, that of ``wcm`` when the configuration is
-    constrained, else that of the classification's generators.
+    constrained, else that of the classification.
 
     Every sample's CoM B must lie within ``MAX_SHIFT`` of the anchor A in
     each component (else ``ValueError``), as for ``shift_wcm``.  No
@@ -490,7 +491,8 @@ def trajectory_verdicts(
     products: one shifts the rows for every sample, one reads each wrench.
     Unconstrained, each sample that pins the moment is mapped to the same
     wrench about A, ``T(B - A) w``, and is one membership solve on the
-    generators, which are prepared once for all of them.
+    classification's generators, which are built and prepared once for all
+    of them, and only when a sample pins the moment.
     """
     constrained = classification.constrained
     if constrained and wcm is None:
@@ -501,8 +503,7 @@ def trajectory_verdicts(
     if len(coms) != count or len(accels) != count:
         raise ValueError("coms, accels and l_dots must have one entry per sample")
     verdicts, margins = [True] * count, [None] * count
-    gen = classification.generating
-    anchor = wcm.anchor if constrained else gen.anchor
+    anchor = wcm.anchor if constrained else classification.anchor
     ax, ay, az = anchor.tolist()
     (gx, gy, gz), mass = body.gravity.tolist(), body.mass
     moments = [_required_moment(l_dot) for l_dot in l_dots]
@@ -539,6 +540,7 @@ def trajectory_verdicts(
             mapped = _freeze((transfers @ wrenches.reshape(-1, 6, 1)).reshape(-1, 6))
         if not np.isfinite(mapped).all():
             raise ValueError("a sample's required wrench about the anchor is not finite")
+        gen = classification.generating
         for t, w6 in zip(pinned, mapped):
             wrench = _unchecked(Wrench, force=w6[:3], moment=w6[3:], about=anchor)
             verdicts[t] = wrench_membership_lp(gen, wrench).feasible

@@ -365,7 +365,8 @@ class TestValidation:
     def test_precomputed_geometry_not_in_equality_or_repr(self):
         contacts = flat_foot_config().contacts
         a, b = ContactConfiguration(contacts), ContactConfiguration(contacts)
-        assert a == b  # comparing the arrays would raise instead
+        # Compared by identity, never by the arrays (which would raise).
+        assert a == a and a != b
         assert "edges" not in repr(a) and "column_points" not in repr(a)
         assert a.edges.shape == a.column_points.shape == (3, 16)
         with pytest.raises(ValueError):

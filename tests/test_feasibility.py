@@ -10,16 +10,20 @@ from wrenchfeas import (
     Contact,
     ContactConfiguration,
     FrictionCone,
+    build_generating_matrices,
     build_wcm,
     classify,
     force_membership_lp,
     load_scene,
 )
+from wrenchfeas import feasibility
 from wrenchfeas.feasibility import CLASSIFICATION_EPS
 from wrenchfeas.scenes import rotation_from_normal
+from wrenchfeas.simplex import prepare, solve
 
 from conftest import (
     flat_foot_config,
+    line_foot_config,
     opposed_walls_config,
     random_config,
     random_rotation,
@@ -290,3 +294,126 @@ class TestRegressions:
                 assert build_wcm(config, com, cls.witness).n_rows > 0, label
             else:
                 assert best_strict_margin(u) <= 1e-7, label
+
+
+def reference_classification(config, com):
+    """``classify``'s (flag, witness bytes, s_star) by its earlier formulas:
+    the force generators read from the 6-row generating matrices, and the
+    least-distance program through ``simplex.solve``."""
+    u = build_generating_matrices(config, com).force_generators
+    e = np.empty((4, u.shape[1]))
+    unit = np.divide(u, np.sqrt((u * u).sum(axis=0)), out=e[:3])
+    e[3] = 1.0
+    a, _ = solve(e, np.array([0.0, 0.0, 0.0, 1.0]))
+    x = unit @ a
+    size = max(map(abs, x.tolist()))
+    witness, s_star = None, 0.0
+    if size > 0.0:
+        witness = x / size
+        s_star = min(0.0, -float(np.min(witness @ u)))
+    if s_star < -CLASSIFICATION_EPS:
+        return True, witness.tobytes(), s_star
+    return False, None, s_star
+
+
+def pinned_stances():
+    """Seeded stances of every family and mu, and the degenerate sets: a
+    line foot, a single contact, opposed frictionless contacts and
+    frictionless floors."""
+    rng = np.random.default_rng(29)
+    stances = []
+    for k in range(48):
+        family = ("floor", "walls", "mixed")[k % 3]
+        mu = (0.0, 0.3, 0.5, 0.8)[(k // 3) % 4]
+        n, sides = int(rng.integers(1, 17)), int(rng.integers(3, 9))
+        config = random_stance(rng, family, n, mu, sides)
+        stances.append((config, rng.uniform([-0.05, -0.05, 0.7], [0.05, 0.05, 0.9])))
+    opposed = load_scene(FIXTURES / "frictionless_opposed.json")
+    stances += [
+        (line_foot_config(), np.array([0.0, 0.0, 0.8])),
+        (single_contact_config(), np.array([0.0, 0.1, 0.6])),
+        (opposed.config, opposed.com),
+        (flat_foot_config(mu=0.0), np.array([0.01, 0.0, 0.8])),
+        (flat_foot_config(mu=0.0, sides=7), np.array([0.0, -0.02, 0.9])),
+    ]
+    return stances
+
+
+def test_classification_is_the_reference_bit_for_bit():
+    # The LDP matrix goes to the solver unscaled and the generators are the
+    # configuration's edges; flag, witness and s_star keep their bits.
+    flags = set()
+    for k, (config, com) in enumerate(pinned_stances()):
+        cls = classify(config, com)
+        got = (cls.constrained, None if cls.witness is None else cls.witness.tobytes(), cls.s_star)
+        want = reference_classification(config, com)
+        assert got[:2] == want[:2], k
+        assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes(), k
+        flags.add(cls.constrained)
+    assert flags == {True, False}
+
+
+def test_ldp_matrix_is_already_prepared():
+    # Every column of [U; 1^T] has largest entry exactly 1, so prepare's
+    # scaling returns it unchanged.
+    for k, (config, _) in enumerate(pinned_stances()):
+        u = config.edges
+        e = np.vstack([u / np.sqrt((u * u).sum(axis=0)), np.ones(u.shape[1])])
+        prepared = prepare(e)
+        assert np.array_equal(prepared.col_max, np.ones(u.shape[1])), k
+        assert prepared.scaled.tobytes() == e.tobytes(), k
+
+
+def test_generators_are_built_on_first_read(monkeypatch):
+    built = []
+    real = feasibility.build_generating_matrices
+    monkeypatch.setattr(
+        feasibility, "build_generating_matrices", lambda *a: built.append(a) or real(*a)
+    )
+    for config, com in pinned_stances():
+        built.clear()
+        cls = classify(config, com)
+        assert built == []
+        gen = cls.generating
+        assert len(built) == 1
+        assert cls.generating is gen and len(built) == 1
+        want = real(config, com)
+        assert gen.stacked().tobytes() == want.stacked().tobytes()
+        assert gen.anchor.tobytes() == want.anchor.tobytes()
+        assert "generating" not in repr(cls) and "config" not in repr(cls)
+
+
+def test_only_a_pinned_unconstrained_answer_builds_generators(monkeypatch, two_walls_scene):
+    from wrenchfeas import MotionQuery, acceleration_verdict, trajectory_verdicts
+
+    built = []
+    real = feasibility.build_generating_matrices
+    monkeypatch.setattr(
+        feasibility, "build_generating_matrices", lambda *a: built.append(a) or real(*a)
+    )
+    scene = two_walls_scene
+    cls = classify(scene.config, scene.com)
+    assert not cls.constrained
+    free = MotionQuery([0.0, 0.0, 1.0])
+    assert acceleration_verdict(cls, None, scene.body, free, scene.com) == (True, None)
+    coms, accels = [scene.com] * 3, [[0.0, 0.0, 1.0]] * 3
+    assert trajectory_verdicts(cls, None, scene.body, coms, accels, [None] * 3)[0] == [True] * 3
+    assert built == []
+    pinned = MotionQuery([0.0, 0.0, 1.0], [0.0, 0.0, 0.0])
+    acceleration_verdict(cls, None, scene.body, pinned, scene.com)
+    trajectory_verdicts(cls, None, scene.body, coms, accels, [[0.0, 0.0, 0.0]] * 3)
+    assert len(built) == 1
+
+
+def test_classification_keeps_a_checked_copy_of_its_anchor():
+    config, anchor = flat_foot_config(), [0.0, 0.0, 0.8]
+    cls = feasibility.Classification(True, np.array([0.0, 0.0, 1.0]), -1.0, config, anchor)
+    assert isinstance(cls.anchor, np.ndarray) and not cls.anchor.flags.writeable
+    assert cls.generating.anchor.tobytes() == np.array(anchor).tobytes()
+    with pytest.raises(ValueError, match="anchor"):
+        feasibility.Classification(False, None, 0.0, config, [0.0, np.inf, 0.8])
+    assert not classify(config, anchor).anchor.flags.writeable
+    with pytest.raises(ValueError, match="com"):
+        classify(config, [0.0, np.nan, 0.8])
+    with pytest.raises(ValueError, match="com"):
+        classify(config, [0.0, 0.8])

@@ -624,3 +624,36 @@ def test_affine_split_raises_when_the_svd_fails(monkeypatch):
     monkeypatch.setattr(hull, "dgesdd", failing)
     with pytest.raises(np.linalg.LinAlgError, match="info 3"):
         hull._affine_split(np.eye(5))
+
+
+def reference_orientation(complement, centroid):
+    """``hull._oriented`` in its array form: each equality row times the sign
+    of its first component above 1e-12 in magnitude (of its first component
+    when none is)."""
+    first = np.argmax(np.abs(complement) > 1e-12, axis=1)
+    signs = np.sign(complement[np.arange(len(complement)), first])[:, None]
+    return signs * np.column_stack([complement, complement @ centroid])
+
+
+def test_equality_orientation_is_the_array_form_bit_for_bit():
+    # The flat clouds' equality rows are oriented on Python floats; a sign
+    # flip is exact, so they are the array form's bytes.
+    ranks = set()
+    for k, pts in enumerate(degenerate_clouds(np.random.default_rng(29))):
+        rank, _, complement, centroid = hull._affine_split(pts)
+        if rank == pts.shape[1]:
+            continue
+        got = convex_hull(pts).equalities
+        want = reference_orientation(complement, centroid)
+        assert got.shape == want.shape, k
+        assert got.tobytes() == want.tobytes(), k
+        ranks.add(rank)
+    assert ranks == {0, 1, 2, 3, 4}
+    # Negligible leading entries, a negative lead, signed zeros, and rows
+    # with no entry above 1e-12, which take their first entry's sign.
+    complement = np.array(
+        [[1e-13, -0.6, 0.8], [-1e-13, -0.0, -1.0], [0.0, 1.0, -0.0], [-1e-13, 1e-14, 0.0], [0.0, -1e-13, 0.0]]
+    )
+    centroid = np.array([0.5, -2.0, 3.0])
+    got = hull._oriented(complement, complement @ centroid)
+    assert got.tobytes() == reference_orientation(complement, centroid).tobytes()

@@ -461,3 +461,61 @@ class TestTrajectoryIngestion:
         assert phase.l_dots[1] == (1.0, 2.0, 3.0)
         assert phase.accels[2] == (0.5, 0.0, -1.0)
         assert phase.times == (0.0, 0.1, 0.2)
+
+
+def _one_load_of_each_type():
+    """From one fresh load of ``flat_foot``: an instance of every public type
+    that holds an array, each built from that load alone."""
+    from wrenchfeas import (
+        MotionQuery,
+        build_generating_matrices,
+        build_wcm,
+        convex_hull,
+        required_wrench,
+        wrench_membership_lp,
+    )
+    from wrenchfeas.wcm import compare_wcm_pair, modified_generators
+
+    scene = load_scene(bundled_path("flat_foot"))
+    cls = classify(scene.config, scene.com)
+    gen = build_generating_matrices(scene.config, scene.com)
+    matrix = build_wcm(scene.config, scene.com, cls.witness)
+    query = MotionQuery([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    wrench = required_wrench(scene.body, query, scene.com)
+    mod = modified_generators(gen, cls.witness)
+    scenario = load_scenario(bundled_path("traverse_scenario"))
+    return {
+        "Scene": scene,
+        "ContactConfiguration": scene.config,
+        "Contact": scene.config.contacts[0],
+        "RigidBodyParams": scene.body,
+        "Classification": cls,
+        "GeneratingMatrices": gen,
+        "WrenchConstraintMatrix": matrix,
+        "MotionQuery": query,
+        "Wrench": wrench,
+        "MembershipVerdict": wrench_membership_lp(gen, wrench),
+        "ModifiedGenerators": mod,
+        "HullResult": convex_hull(np.vstack([mod.force_generators[:2], mod.moment_generators]).T),
+        "AgreementReport": compare_wcm_pair(gen, matrix, matrix),
+        "Scenario": scenario,
+        "ScenarioPhase": scenario.phases[0],
+    }
+
+
+@pytest.mark.parametrize("name", list(_one_load_of_each_type()))
+def test_array_types_compare_and_hash_by_identity(name):
+    # Value equality would compare the arrays, and raise.
+    x, twin = _one_load_of_each_type()[name], _one_load_of_each_type()[name]
+    assert type(x).__name__ == name
+    assert x == x
+    assert (x == twin) is False and x != twin
+    assert hash(x) == hash(x) and isinstance(hash(twin), int)
+    assert len({x, twin, x}) == 2
+
+
+def test_friction_cone_compares_by_value():
+    # The cone is the key of the cached pyramid edges.
+    assert FrictionCone(0.8, 4) == FrictionCone(0.8, 4)
+    assert hash(FrictionCone(0.8, 4)) == hash(FrictionCone(0.8, 4))
+    assert FrictionCone(0.8, 4) != FrictionCone(0.8, 5)

@@ -1040,11 +1040,14 @@ def test_w_does_not_depend_on_witness_frame_spin(name, make, monkeypatch):
         [(stacked @ rng.exponential(size=(stacked.shape[1], 100))).T, rng.normal(size=(100, 6)) * 300]
     )
     base_feasible, base_margins = wrench_verdicts(base, wrenches, com)
-    original = wcm_module.rotation_aligning_z
+    # modified_generators takes the witness frame R (R v = |v| z) as the
+    # transpose of _complete_frame's; turning that frame by spin^T turns R
+    # by spin.
+    original = wcm_module._complete_frame
     for theta in (0.4, 1.9, -2.7):
         c, s = np.cos(theta), np.sin(theta)
         spin = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        monkeypatch.setattr(wcm_module, "rotation_aligning_z", lambda v: spin @ original(v))
+        monkeypatch.setattr(wcm_module, "_complete_frame", lambda n: original(n) @ spin.T)
         spun, k_spun, m_spun = _build_with_hull_counts(config, com, cls.witness, monkeypatch)
         assert (spun.n_rows, k_spun, m_spun) == (base.n_rows, k, m)
         # Facet rows and the normal-force row, as sets.
